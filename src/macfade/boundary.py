@@ -11,7 +11,7 @@ end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def _rate_point_detailed(mu, lam, channel, mode, tol, tail_eps):
 
         req = IntegrationRequest(integrand, 0.0, z_top, abs_tol=tol,
                                  breakpoints=tuple(dyadic_panel_edges(0.0, z_top)),
-                                 vectorized=False)
+                                 vectorized=True)
         result = integrate_or_raise(req)
         rates.append(max(result.value, 0.0))
         errors.append(result.error_estimate)
@@ -198,12 +198,12 @@ def compare_modes(channel: ChannelConfig, mu, settings: SolverSettings | None = 
         mu = RateAwardVector(tuple(mu))
 
     corrected = solve_lambda(mu, channel,
-                             _with_mode(settings, CdfMode.CORRECTED))
+                             replace(settings, mode=CdfMode.CORRECTED))
     rates_corr = rate_point(mu, corrected.lam, channel, CdfMode.CORRECTED,
                             rate_tol, tail_eps)
     rates_naive_same = rate_point(mu, corrected.lam, channel, CdfMode.NAIVE_ZERO,
                                   rate_tol, tail_eps)
-    naive = solve_lambda(mu, channel, _with_mode(settings, CdfMode.NAIVE_ZERO),
+    naive = solve_lambda(mu, channel, replace(settings, mode=CdfMode.NAIVE_ZERO),
                          initial_lambda=corrected.lam)
     rates_naive_end = rate_point(mu, naive.lam, channel, CdfMode.NAIVE_ZERO,
                                  rate_tol, tail_eps)
@@ -227,18 +227,4 @@ def compare_modes(channel: ChannelConfig, mu, settings: SolverSettings | None = 
         same_lambda_gap_rel=same_rel,
         end_to_end_gap_abs=end_abs,
         end_to_end_gap_rel=end_rel,
-    )
-
-
-def _with_mode(settings: SolverSettings, mode: CdfMode) -> SolverSettings:
-    if settings.mode is mode:
-        return settings
-    return SolverSettings(
-        power_rel_tol=settings.power_rel_tol,
-        max_outer_iters=settings.max_outer_iters,
-        bracket_growth=settings.bracket_growth,
-        mode=mode,
-        quad_abs_tol=settings.quad_abs_tol,
-        tail_epsilon=settings.tail_epsilon,
-        max_bisect_iters=settings.max_bisect_iters,
     )

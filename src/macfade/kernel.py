@@ -14,6 +14,13 @@ clipping; ``CdfMode.NAIVE_ZERO`` instead maps negative arguments to CDF
 value 0 (the plausible-looking but wrong treatment) so the distortion can be
 quantified side by side.
 
+The inner kernels take one interference level z or an array of them.  An
+array is integrated in one batched pass, a row per level with its own
+window, panel edges (the dyadic seeding edges plus every rival's case
+boundary that falls inside the window) and adaptive refinement, so each
+entry equals the one-level call bit for bit.  Outer integrals hand each
+rule batch of levels to one such call.
+
 All functions here are pure; everything is safe to evaluate concurrently.
 """
 
@@ -26,12 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fading import FadingDistribution
-from .quadrature import (
-    IntegrationRequest,
-    dyadic_panel_edges,
-    integrate_or_raise,
-    merge_edges,
-)
+from .quadrature import BatchRequest, integrate_or_raise, panel_edges
 
 __all__ = [
     "CdfMode",
@@ -244,84 +246,89 @@ def inner_lower_limit(i: int, z: float, mu, lam, sigma2: float) -> float:
 
 
 def _inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,
-                    power_weight, max_evals):
-    """Common inner h-integral for the win probability and the power kernel."""
+                    power_weight, max_evals, quantity):
+    """Common inner h-integral for the win probability and the power kernel.
+
+    ``z`` is one interference level or an array of them; all levels share
+    one batched integral with a row per level whose window is not empty,
+    each refined on its own.  Returns a float for a scalar ``z``, else an
+    array shaped like ``z``.
+    """
     sigma2 = channel.sigma2
     dist_i = channel.users[i].fading
-    lower = 2.0 * lam_arr[i] * (sigma2 + z) / mu_arr[i]
+    z_arr = np.asarray(z, dtype=float)
+    zs = z_arr.ravel()
+    lower = 2.0 * lam_arr[i] * (sigma2 + zs) / mu_arr[i]
     upper = dist_i.tail_point(tail_eps)
-    if upper <= lower:
-        return 0.0
-    rivals = [k for k in range(channel.n_users) if k != i]
-    edges = dyadic_panel_edges(lower, upper)
-    for k in rivals:
-        if mu_arr[k] < mu_arr[i]:
-            edges.append(2.0 * lam_arr[i] * (sigma2 + z) / (mu_arr[i] - mu_arr[k]))
-    breakpoints = merge_edges(edges, lower, upper)
+    out = np.zeros(zs.shape)
+    live = np.flatnonzero(~(upper <= lower))
+    if live.size:
+        z_live = zs[live]
+        rivals = [k for k in range(channel.n_users) if k != i]
+        cuts = [2.0 * lam_arr[i] * (sigma2 + z_live) / (mu_arr[i] - mu_arr[k])
+                for k in rivals if mu_arr[k] < mu_arr[i]]
+        rival_dists = [channel.users[k].fading for k in rivals]
 
-    rival_dists = [channel.users[k].fading for k in rivals]
+        def integrand(h, rows):
+            z_h = z_live[rows, None]
+            value = dist_i._pdf_raw(h)
+            if power_weight:
+                value = value / h
+            for k, dist in zip(rivals, rival_dists):
+                arg = _clipped_argument(i, k, h, z_h, mu_arr, lam_arr, sigma2, mode)
+                value = value * dist._cdf_raw(arg)
+            return value
 
-    def integrand(h):
-        value = dist_i._pdf_raw(h)
-        if power_weight:
-            value = value / h
-        for k, dist in zip(rivals, rival_dists):
-            arg = _clipped_argument(i, k, h, z, mu_arr, lam_arr, sigma2, mode)
-            value = value * dist._cdf_raw(arg)
-        return value
-
-    req = IntegrationRequest(
-        integrand,
-        lower,
-        upper,
-        breakpoints=tuple(breakpoints),
-        abs_tol=tol,
-        max_evals=max_evals,
-        vectorized=True,
-    )
-    result = integrate_or_raise(req)
-    return max(result.value, 0.0)
+        req = BatchRequest(
+            integrand,
+            panel_edges(lower[live], upper, cuts),
+            abs_tol=tol,
+            max_evals=max_evals,
+            row_name=lambda r: f"{quantity} of user {i} at z={float(z_live[r])!r}",
+        )
+        result = integrate_or_raise(req)
+        out[live] = np.maximum(result.values, 0.0)
+    return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
-def win_probability(i: int, z: float, mu, lam, channel: ChannelConfig,
+def win_probability(i: int, z, mu, lam, channel: ChannelConfig,
                     mode: CdfMode = CdfMode.CORRECTED,
                     tol: float = DEFAULT_INNER_TOL,
                     tail_eps: float = DEFAULT_TAIL_EPS,
-                    max_evals: int = 100_000) -> float:
+                    max_evals: int = 100_000):
     """Probability that user i wins the bidding at interference level z.
 
     Integrates f_i(h) times the product of treated rival CDF factors from the
     positivity threshold upward, splitting panels at every rival's case
     boundary.  Truncation is at the 1 - tail_eps quantile of user i's own
     gain, which bounds the discarded tail because the rival factors never
-    exceed 1.
+    exceed 1.  ``z`` may be a float or an array of levels (array result);
+    ``tol`` and ``max_evals`` apply to each level on its own.
     """
-    mu_arr = _coeffs(mu)
-    lam_arr = _coeffs(lam)
-    return _inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,
-                           power_weight=False, max_evals=max_evals)
+    return _inner_integral(i, z, _coeffs(mu), _coeffs(lam), channel, mode, tol, tail_eps,
+                           power_weight=False, max_evals=max_evals,
+                           quantity="win probability")
 
 
-def rate_integrand(i: int, z: float, mu, lam, channel: ChannelConfig,
+def rate_integrand(i: int, z, mu, lam, channel: ChannelConfig,
                    mode: CdfMode = CdfMode.CORRECTED,
                    tol: float = DEFAULT_INNER_TOL,
                    tail_eps: float = DEFAULT_TAIL_EPS,
-                   max_evals: int = 100_000) -> float:
+                   max_evals: int = 100_000):
     """Win probability weighted by the rate-per-received-power factor 1/(2(sigma2+z))."""
-    p = win_probability(i, z, mu, lam, channel, mode, tol, tail_eps, max_evals)
+    p = _inner_integral(i, z, _coeffs(mu), _coeffs(lam), channel, mode, tol, tail_eps,
+                        power_weight=False, max_evals=max_evals, quantity="rate")
     return p / (2.0 * (channel.sigma2 + z))
 
 
-def power_integrand(i: int, z: float, mu, lam, channel: ChannelConfig,
+def power_integrand(i: int, z, mu, lam, channel: ChannelConfig,
                     mode: CdfMode = CdfMode.CORRECTED,
                     tol: float = DEFAULT_INNER_TOL,
                     tail_eps: float = DEFAULT_TAIL_EPS,
-                    max_evals: int = 100_000) -> float:
+                    max_evals: int = 100_000):
     """Same inner integral as the win probability with the transmit-power weight 1/h."""
-    mu_arr = _coeffs(mu)
-    lam_arr = _coeffs(lam)
-    return _inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,
-                           power_weight=True, max_evals=max_evals)
+    return _inner_integral(i, z, _coeffs(mu), _coeffs(lam), channel, mode, tol, tail_eps,
+                           power_weight=True, max_evals=max_evals, quantity="power")
 
 
 def outer_truncation(i: int, mu, lam, channel: ChannelConfig,

@@ -1,13 +1,19 @@
-"""Adaptive integration over truncated semi-infinite domains.
+"""Adaptive integration over truncated semi-infinite domains, many integrals per call.
 
-The integrator works on the finite window [lower, truncation_point], split at
-caller-supplied breakpoints; every panel is refined by interval bisection with
-a nested Gauss-Kronrod (7, 15) rule pair until the summed error estimate drops
-below the requested absolute tolerance.  Chopping the infinite tail is the
-caller's job: pick truncation_point so the discarded mass is provably below
-tolerance (distribution tail quantiles make this cheap and rigorous).
+A request holds one or more rows, each an integral of its own over a finite
+window [lower, truncation_point] split at its own breakpoints, with its own
+absolute tolerance and evaluation budget.  Every row is refined exactly as a
+lone integral would be: the panel with the largest error estimate (the
+leftmost one on ties) is bisected with a nested Gauss-Kronrod (7, 15) rule
+pair until the row's summed error drops below its tolerance or its budget
+runs out.  Rows advance in lockstep, so one integrand call evaluates the rule
+batch of every row that still needs work, yet a row's result never depends
+on the other rows: an ``IntegrationRequest`` is simply the one-row case.
+Chopping the infinite tail is the caller's job: pick truncation_point so the
+discarded mass is provably below tolerance (distribution tail quantiles make
+this cheap and rigorous).
 
-Panels are summed in ascending position order, so a given request always
+Panels are summed in ascending position order, so a given row always
 produces bit-identical output no matter how the refinement work is scheduled.
 """
 
@@ -20,6 +26,8 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "BatchRequest",
+    "BatchResult",
     "IntegrationRequest",
     "IntegrationResult",
     "QuadratureError",
@@ -30,8 +38,9 @@ __all__ = [
 class QuadratureError(RuntimeError):
     """Integration failed to converge (or hit a non-finite integrand value).
 
-    Carries the best-effort ``IntegrationResult`` in ``result`` when one is
-    available so callers can report the achieved error estimate.
+    Carries the best-effort ``IntegrationResult`` of the failing row in
+    ``result`` when one is available so callers can report the achieved
+    error estimate.
     """
 
     def __init__(self, message: str, result: "IntegrationResult | None" = None):
@@ -76,6 +85,7 @@ _WEIGHTS_G = np.array([
 
 _EPS = float(np.finfo(float).eps)
 _EVALS_PER_RULE = 15
+_SHAPE_ERROR = "integrand returned a shape that does not match its input"
 
 
 @dataclass(frozen=True)
@@ -124,6 +134,62 @@ class IntegrationRequest:
 
 
 @dataclass(frozen=True)
+class BatchRequest:
+    """Many integrals of one integrand family, one per row.
+
+    integrand  maps ``(x, rows)`` to integrand values: ``x`` is a 2-D float
+               array of abscissae whose line g belongs to row ``rows[g]``;
+               must return an array shaped like ``x``, finite on every window
+    edges      (rows, n) array holding each row's lower limit, interior
+               breakpoints and truncation point, strictly increasing, padded
+               on the right with NaN where a row has fewer edges than n
+    abs_tol    absolute error target of each row (one value or one per row)
+    max_evals  integrand-evaluation budget of each row (one or one per row)
+    row_name   maps a row index to the text naming that row in error messages
+    """
+
+    integrand: Callable
+    edges: np.ndarray
+    abs_tol: float = 1e-9
+    max_evals: int = 100_000
+    row_name: Callable | None = None
+
+    def __post_init__(self):
+        edges = np.array(self.edges, dtype=float)
+        if edges.ndim != 2 or edges.shape[1] < 2:
+            raise ValueError("edges must be a (rows, n >= 2) array")
+        pad = np.isnan(edges)
+        if (pad[:, :-1] > pad[:, 1:]).any():
+            raise ValueError("NaN may only pad the right end of a row of edges")
+        if pad[:, 1].any() or np.isinf(edges).any():
+            raise ValueError("integration window must be finite; truncate the tail first")
+        if (np.diff(edges, axis=1) <= 0.0).any():  # NaN padding compares False
+            raise ValueError("edges must be strictly increasing")
+        abs_tol = _per_row(self.abs_tol, len(edges), float)
+        if not (abs_tol > 0.0).all():
+            raise ValueError("abs_tol must be positive")
+        max_evals = _per_row(self.max_evals, len(edges), np.int64)
+        if (max_evals < _EVALS_PER_RULE).any():
+            raise ValueError("max_evals must allow at least one rule application")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "abs_tol", abs_tol)
+        object.__setattr__(self, "max_evals", max_evals)
+
+    def prefix(self, row: int) -> str:
+        """Error-message lead naming ``row``; empty when rows are unnamed."""
+        return "" if self.row_name is None else f"{self.row_name(row)}: "
+
+
+def _per_row(value, n_rows: int, dtype) -> np.ndarray:
+    arr = np.asarray(value, dtype=dtype)
+    if arr.ndim == 0:
+        return np.full(n_rows, arr)
+    if arr.shape != (n_rows,):
+        raise ValueError("per-row settings need one value per row")
+    return arr
+
+
+@dataclass(frozen=True)
 class IntegrationResult:
     value: float
     error_estimate: float
@@ -131,121 +197,238 @@ class IntegrationResult:
     converged: bool
 
 
-def _apply_rule_batch(f, lows, highs, vectorized: bool):
-    """Gauss-Kronrod 15-point values and error estimates on a batch of panels.
+@dataclass(frozen=True)
+class BatchResult:
+    """Per-row values, error estimates, evaluation counts and convergence flags."""
 
-    All panels share one integrand call, which keeps per-call overhead off
-    the inner loops; the arithmetic per panel is the standard embedded-rule
-    estimate with QUADPACK-style sharpening and a roundoff floor.
+    values: np.ndarray
+    error_estimates: np.ndarray
+    row_evals: np.ndarray
+    converged: np.ndarray
+
+    @property
+    def evals(self) -> int:
+        """Integrand evaluations summed over every row."""
+        return int(self.row_evals.sum())
+
+    def row(self, r: int) -> IntegrationResult:
+        return IntegrationResult(float(self.values[r]), float(self.error_estimates[r]),
+                                 int(self.row_evals[r]), bool(self.converged[r]))
+
+
+def _apply_rule_batch(f, lows, highs, rows):
+    """Gauss-Kronrod 15-point values and error estimates on (groups, panels) arrays.
+
+    Each of the ``len(rows)`` groups holds the same number of panels of one
+    row; all groups share one integrand call, which keeps per-call overhead
+    off the inner loops.  The arithmetic per panel is the standard
+    embedded-rule estimate with QUADPACK-style sharpening and a roundoff
+    floor.  Returns ``(values, errors, bad)``; ``bad`` is None, or the group
+    index and abscissa of the first non-finite integrand value.
+
+    The rule sums are BLAS matrix-vector products, whose rounding depends on
+    the matrix shape and layout.  Stacking groups makes one product per
+    group on exactly the (panels, 15) matrix that integrating the row on its
+    own would use, which keeps every row bit-identical to its lone integral.
     """
-    lows_arr = np.asarray(lows, dtype=float)
-    highs_arr = np.asarray(highs, dtype=float)
-    centers = 0.5 * (lows_arr + highs_arr)
-    halfwidths = 0.5 * (highs_arr - lows_arr)
-    xs = centers[:, None] + halfwidths[:, None] * _NODES
-    flat = xs.ravel()
-    if vectorized:
-        fv = np.asarray(f(flat), dtype=float)
-    else:
-        fv = np.array([f(x) for x in flat], dtype=float)
-    if fv.shape != flat.shape:
-        raise QuadratureError("integrand returned a shape that does not match its input")
+    centers = 0.5 * (lows + highs)
+    halfwidths = 0.5 * (highs - lows)
+    xs = centers[..., None] + halfwidths[..., None] * _NODES
+    lines = xs.reshape(len(rows), -1)
+    fv = np.asarray(f(lines, rows), dtype=float)
+    if fv.shape != lines.shape:
+        raise QuadratureError(_SHAPE_ERROR)
     fv = fv.reshape(xs.shape)
     resk = halfwidths * (fv @ _WEIGHTS_K)
     resabs = halfwidths * (np.abs(fv) @ _WEIGHTS_K)
     # non-finite integrand values cannot cancel out of resabs (weights > 0)
-    if not np.all(np.isfinite(resabs)):
-        panel = int(np.flatnonzero(~np.isfinite(resabs))[0])
-        bad = float(xs[panel][~np.isfinite(fv[panel])][0])
-        raise QuadratureError(f"integrand returned a non-finite value at x={bad!r}")
-    resg = halfwidths * (fv[:, _GAUSS_IDX] @ _WEIGHTS_G)
-    means = resk / (highs_arr - lows_arr)
-    resasc = halfwidths * (np.abs(fv - means[:, None]) @ _WEIGHTS_K)
+    if not np.isfinite(resabs).all():
+        group, panel = np.argwhere(~np.isfinite(resabs))[0]
+        bad = float(xs[group, panel][~np.isfinite(fv[group, panel])][0])
+        return resk, None, (int(group), bad)
+    # Gauss nodes laid out panel-minor, as a lone row's fv[:, _GAUSS_IDX] is
+    gauss = np.ascontiguousarray(fv.transpose(0, 2, 1)[:, _GAUSS_IDX]).transpose(0, 2, 1)
+    resg = halfwidths * (gauss @ _WEIGHTS_G)
+    means = resk / (highs - lows)
+    resasc = halfwidths * (np.abs(fv - means[..., None]) @ _WEIGHTS_K)
     err = np.abs(resk - resg)
     safe_asc = np.where(resasc > 0.0, resasc, 1.0)
     sharpened = resasc * np.minimum(1.0, (200.0 * err / safe_asc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), sharpened, err)
     err = np.maximum(err, 50.0 * _EPS * resabs)
-    return resk, err
+    return resk, err, None
 
 
-def integrate(req: IntegrationRequest) -> IntegrationResult:
-    """Evaluate the request; always returns the best estimate found.
+def _integrate_rows(req: BatchRequest) -> BatchResult:
+    """Refine every row of ``req`` to its tolerance or budget, in lockstep.
 
-    ``converged`` is False when the evaluation budget ran out (or every panel
-    hit float resolution) before the error target was met.  The initial panel
-    set (one panel per breakpoint gap) is always evaluated, since no estimate
-    exists without it; ``max_evals`` bounds the refinement on top of it.
+    The initial panel set of a row (one panel per gap between its edges) is
+    always evaluated, since no estimate exists without it; ``max_evals``
+    bounds the refinement on top of it.  Rows whose initial error is clearly
+    within tolerance finish without any per-row Python work.
     """
     f = req.integrand
-    edges = [req.lower, *req.breakpoints, req.truncation_point]
-    evals = 0
-    heap: list = []  # (-err, a, b, value)
-    done: list = []  # (a, b, value, err) panels at float resolution
-    values, errs = _apply_rule_batch(f, edges[:-1], edges[1:], req.vectorized)
-    evals += _EVALS_PER_RULE * (len(edges) - 1)
-    for a, b, value, err in zip(edges, edges[1:], values, errs):
-        heapq.heappush(heap, (-float(err), a, b, float(value)))
-    total_err = sum(-item[0] for item in heap)
+    edges = req.edges
+    n_panels = np.count_nonzero(~np.isnan(edges), axis=1) - 1
+    values = np.empty(len(edges))
+    errors = np.empty(len(edges))
+    evals = _EVALS_PER_RULE * n_panels
+    tols = req.abs_tol.tolist()
+    budgets = req.max_evals.tolist()
+    refining: dict = {}  # row -> [heap of (-err, a, b, value), done panels, total_err]
 
-    while heap and total_err > req.abs_tol and evals + 2 * _EVALS_PER_RULE <= req.max_evals:
-        neg_err, a, b, value = heapq.heappop(heap)
-        err = -neg_err
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            done.append((a, b, value, err))
-            continue
-        halves, half_errs = _apply_rule_batch(f, (a, mid), (mid, b), req.vectorized)
-        evals += 2 * _EVALS_PER_RULE
-        heapq.heappush(heap, (-float(half_errs[0]), a, mid, float(halves[0])))
-        heapq.heappush(heap, (-float(half_errs[1]), mid, b, float(halves[1])))
-        total_err += float(half_errs[0]) + float(half_errs[1]) - err
+    def rule(lows, highs, rows):
+        vals, errs, bad = _apply_rule_batch(f, lows, highs, rows)
+        if bad is not None:
+            r = int(rows[bad[0]])
+            raise QuadratureError(
+                f"{req.prefix(r)}integrand returned a non-finite value at x={bad[1]!r}",
+                IntegrationResult(float("nan"), float("inf"), int(evals[r]), False))
+        return vals, errs
 
-    panels = done + [(a, b, value, -neg_err) for neg_err, a, b, value in heap]
-    panels.sort(key=lambda p: p[0])
-    value = 0.0
-    error = 0.0
-    for _, _, v, e in panels:
-        value += v
-        error += e
-    return IntegrationResult(value, error, evals, error <= req.abs_tol)
+    for p in sorted(set(n_panels.tolist())):  # np.unique would import numpy.ma
+        group = np.flatnonzero(n_panels == p)
+        window = edges[group, :p + 1]
+        vals, errs = rule(window[:, :-1], window[:, 1:], group)
+        value = error = 0.0
+        for j in range(p):  # left to right from 0.0, as a finished row is summed
+            value = value + vals[:, j]
+            error = error + errs[:, j]
+        values[group] = value
+        errors[group] = error
+        # The refinement test sums a row's errors in heap order, which can
+        # differ from this sum by rounding only: 4*p*eps relative covers it.
+        slack = 1.0 - 4.0 * p * _EPS
+        rest = ((error > req.abs_tol[group] * slack)
+                & (evals[group] + 2 * _EVALS_PER_RULE <= req.max_evals[group]))
+        for g in np.flatnonzero(rest).tolist():
+            a_b = window[g].tolist()
+            heap: list = []
+            for a, b, v, e in zip(a_b, a_b[1:], vals[g].tolist(), errs[g].tolist()):
+                heapq.heappush(heap, (-e, a, b, v))
+            refining[int(group[g])] = [heap, [], sum(-item[0] for item in heap)]
+
+    while refining:
+        batch = []  # (row, a, mid, b, err) of the panel each active row bisects
+        for r, state in list(refining.items()):
+            heap, done, total_err = state
+            while heap and total_err > tols[r] and evals[r] + 2 * _EVALS_PER_RULE <= budgets[r]:
+                neg_err, a, b, value = heapq.heappop(heap)
+                mid = 0.5 * (a + b)
+                if a < mid < b:
+                    batch.append((r, a, mid, b, -neg_err))
+                    break
+                done.append((a, b, value, -neg_err))  # at float resolution
+            else:
+                panels = done + [(a, b, v, -neg_err) for neg_err, a, b, v in heap]
+                panels.sort()  # by left edge a, unique within a row
+                value = 0.0
+                error = 0.0
+                for _, _, v, e in panels:
+                    value += v
+                    error += e
+                values[r] = value
+                errors[r] = error
+                del refining[r]
+        if not batch:
+            break
+        rows = np.array([item[0] for item in batch])
+        evals[rows] += 2 * _EVALS_PER_RULE
+        splits = np.array([(a, mid, b) for _, a, mid, b, _ in batch])
+        halves, half_errs = rule(splits[:, :2], splits[:, 1:], rows)
+        for (r, a, mid, b, err), (v0, v1), (e0, e1) in zip(batch, halves.tolist(),
+                                                           half_errs.tolist()):
+            state = refining[r]
+            heapq.heappush(state[0], (-e0, a, mid, v0))
+            heapq.heappush(state[0], (-e1, mid, b, v1))
+            state[2] += e0 + e1 - err
+
+    return BatchResult(values, errors, evals, errors <= req.abs_tol)
 
 
-def integrate_or_raise(req: IntegrationRequest) -> IntegrationResult:
-    """Like :func:`integrate`, but raises :class:`QuadratureError` on non-convergence."""
-    result = integrate(req)
-    if not result.converged:
+def _as_batch(req) -> BatchRequest:
+    """``req`` itself, or an ``IntegrationRequest`` as the one row of a batch."""
+    if not isinstance(req, IntegrationRequest):
+        return req
+    f = req.integrand
+    vectorized = req.vectorized
+
+    def integrand(x, rows):
+        flat = x.ravel()
+        if vectorized:
+            fv = np.asarray(f(flat), dtype=float)
+        else:
+            fv = np.array([f(v) for v in flat], dtype=float)
+        if fv.shape != flat.shape:
+            raise QuadratureError(_SHAPE_ERROR)
+        return fv.reshape(x.shape)
+
+    edges = [[req.lower, *req.breakpoints, req.truncation_point]]
+    return BatchRequest(integrand, edges, req.abs_tol, req.max_evals)
+
+
+def integrate(req):
+    """Evaluate the request; always returns the best estimate found.
+
+    An ``IntegrationRequest`` gives an ``IntegrationResult``, a
+    ``BatchRequest`` a ``BatchResult``.  ``converged`` is False when the
+    evaluation budget ran out (or every panel hit float resolution) before
+    the error target was met.
+    """
+    result = _integrate_rows(_as_batch(req))
+    return result.row(0) if isinstance(req, IntegrationRequest) else result
+
+
+def integrate_or_raise(req):
+    """Like :func:`integrate`, but raises :class:`QuadratureError` on non-convergence.
+
+    The error names the first unconverged row and carries its result.
+    """
+    batch = _as_batch(req)
+    result = _integrate_rows(batch)
+    failed = np.flatnonzero(~result.converged)
+    if failed.size:
+        r = int(failed[0])
+        row = result.row(r)
         raise QuadratureError(
-            f"quadrature did not converge: error estimate {result.error_estimate:.3e} "
-            f"exceeds tolerance {req.abs_tol:.3e} after {result.evals} evaluations",
-            result,
+            f"{batch.prefix(r)}quadrature did not converge: error estimate "
+            f"{row.error_estimate:.3e} exceeds tolerance {batch.abs_tol[r]:.3e} "
+            f"after {row.evals} evaluations",
+            row,
         )
-    return result
+    return result.row(0) if isinstance(req, IntegrationRequest) else result
 
 
-def dyadic_panel_edges(lower: float, upper: float, n_panels: int = 6) -> list:
+def dyadic_panel_edges(lower, upper, n_panels: int = 6) -> list:
     """Interior edges giving panels of dyadically growing width from ``lower``.
 
     Integrands here decay away from the lower limit, so packing narrow panels
     there lets most panels converge on the first rule application instead of
     being found by bisection.  Purely a seeding hint: results are unchanged,
-    only the refinement path (breakpoint-insensitivity property).
+    only the refinement path (breakpoint-insensitivity property).  Works
+    elementwise when ``lower`` is an array of per-row limits.
     """
     span = upper - lower
     scale = span / (2.0 ** n_panels - 1.0)
     return [lower + scale * (2.0 ** k - 1.0) for k in range(1, n_panels)]
 
 
-def merge_edges(edges, lower: float, upper: float) -> list:
-    """Sort candidate interior edges, dropping out-of-window and near-duplicate ones."""
-    gap = 1e-12 * (upper - lower)
-    out: list = []
-    for b in sorted(edges):
-        if not lower < b < upper:
-            continue
-        if out and b - out[-1] <= gap:
-            continue
-        if upper - b <= gap:
-            continue
-        out.append(b)
-    return out
+def panel_edges(lower: np.ndarray, upper: float, cuts) -> np.ndarray:
+    """Per-row edges for a :class:`BatchRequest`: dyadic seeding plus cut points.
+
+    Row r runs from ``lower[r]`` to ``upper`` with the dyadic seeding edges
+    and the r-th entry of every array in ``cuts``.  Candidates are taken in
+    ascending order; one is dropped when it lies outside the open window,
+    within 1e-12 of the window width of ``upper``, or within that gap above
+    the previous kept edge.  Dropped slots become right-hand NaN padding.
+    """
+    lower = np.asarray(lower, dtype=float)
+    cand = np.sort(np.stack([*dyadic_panel_edges(lower, upper), *cuts], axis=1), axis=1)
+    gap = (1e-12 * (upper - lower))[:, None]
+    keep = (lower[:, None] < cand) & (cand < upper) & ~(upper - cand <= gap)
+    last = np.full(lower.shape, np.nan)
+    for j in range(cand.shape[1]):
+        keep[:, j] &= ~(cand[:, j] - last <= gap[:, 0])
+        last = np.where(keep[:, j], cand[:, j], last)
+    inner = np.where(keep, cand, np.nan)
+    return np.sort(np.column_stack([lower, inner, np.full(lower.shape, upper)]), axis=1)

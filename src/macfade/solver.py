@@ -80,7 +80,8 @@ def achieved_power(i: int, mu, lam, channel: ChannelConfig,
 
     Outer adaptive integral over the interference level of the inner
     1/h-weighted kernel; the inner integrals run at tol/10 so the composition
-    error stays within the outer budget.
+    error stays within the outer budget.  Each outer rule batch hands all
+    its levels to one batched inner integral.
     """
     z_top = outer_truncation(i, mu, lam, channel, tail_eps)
     if z_top <= 0.0:
@@ -92,7 +93,7 @@ def achieved_power(i: int, mu, lam, channel: ChannelConfig,
 
     req = IntegrationRequest(integrand, 0.0, z_top, abs_tol=tol,
                              breakpoints=tuple(dyadic_panel_edges(0.0, z_top)),
-                             vectorized=False)
+                             vectorized=True)
     result = integrate_or_raise(req)
     return max(result.value, 0.0)
 

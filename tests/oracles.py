@@ -1,15 +1,24 @@
 """Independent numerical oracles used only by the tests.
 
-Everything here is deliberately written from scratch on plain numpy so the
+Most of this is deliberately written from scratch on plain numpy so the
 values it produces share no code path with the package: composite Simpson
 integration, the exponential integral E1 via series / continued fraction,
 and the single-user water-filling baseline (power, rate, and price solve)
 it implies for an exponential gain law.
+
+The exception is ``per_z_inner_integral``, the inner gain integral built
+one interference level at a time: a scalar closure, scalar breakpoint
+merging and one ``IntegrationRequest`` per level.  It reuses the package's
+integrand pieces and one-row integrator on purpose, because it is the
+reference the batched array-of-levels path must match bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from macfade.kernel import _clipped_argument
+from macfade.quadrature import IntegrationRequest, dyadic_panel_edges, integrate_or_raise
 
 
 def simpson(f, a, b, n=20001):
@@ -98,3 +107,58 @@ def wf_solve_lambda(pbar: float, sigma2: float, mean_gain: float) -> float:
         else:
             hi = mid
     return math.sqrt(lo * hi)
+
+
+def merge_edges(edges, lower: float, upper: float) -> list:
+    """Sort candidate interior edges, dropping out-of-window and near-duplicate ones."""
+    gap = 1e-12 * (upper - lower)
+    out: list = []
+    for b in sorted(edges):
+        if not lower < b < upper:
+            continue
+        if out and b - out[-1] <= gap:
+            continue
+        if upper - b <= gap:
+            continue
+        out.append(b)
+    return out
+
+
+def per_z_inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,
+                         power_weight, max_evals):
+    """Inner h-integral at one interference level z, one request per level."""
+    sigma2 = channel.sigma2
+    dist_i = channel.users[i].fading
+    lower = 2.0 * lam_arr[i] * (sigma2 + z) / mu_arr[i]
+    upper = dist_i.tail_point(tail_eps)
+    if upper <= lower:
+        return 0.0
+    rivals = [k for k in range(channel.n_users) if k != i]
+    edges = dyadic_panel_edges(lower, upper)
+    for k in rivals:
+        if mu_arr[k] < mu_arr[i]:
+            edges.append(2.0 * lam_arr[i] * (sigma2 + z) / (mu_arr[i] - mu_arr[k]))
+    breakpoints = merge_edges(edges, lower, upper)
+
+    rival_dists = [channel.users[k].fading for k in rivals]
+
+    def integrand(h):
+        value = dist_i._pdf_raw(h)
+        if power_weight:
+            value = value / h
+        for k, dist in zip(rivals, rival_dists):
+            arg = _clipped_argument(i, k, h, z, mu_arr, lam_arr, sigma2, mode)
+            value = value * dist._cdf_raw(arg)
+        return value
+
+    req = IntegrationRequest(
+        integrand,
+        lower,
+        upper,
+        breakpoints=tuple(breakpoints),
+        abs_tol=tol,
+        max_evals=max_evals,
+        vectorized=True,
+    )
+    result = integrate_or_raise(req)
+    return max(result.value, 0.0)

@@ -9,8 +9,9 @@ from macfade.quadrature import (
     dyadic_panel_edges,
     integrate,
     integrate_or_raise,
-    merge_edges,
 )
+
+from oracles import merge_edges
 
 
 def test_exponential_decay_to_unity():
