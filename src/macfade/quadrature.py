@@ -1,14 +1,14 @@
 """Adaptive integration over truncated semi-infinite domains, many integrals per call.
 
 A request holds one or more rows, each an integral of its own over a finite
-window [lower, truncation_point] split at its own breakpoints, with its own
-absolute tolerance and evaluation budget.  Every row is refined exactly as a
-lone integral would be: the panel with the largest error estimate (the
-leftmost one on ties) is bisected with a nested Gauss-Kronrod (7, 15) rule
-pair until the row's summed error drops below its tolerance or its budget
-runs out.  Rows advance in lockstep, so one integrand call evaluates the rule
-batch of every row that still needs work, yet a row's result never depends
-on the other rows: an ``IntegrationRequest`` is simply the one-row case.
+window [lower, truncation_point] split at its own breakpoints.  Every row is
+refined exactly as a lone integral would be: the panel with the largest
+error estimate (the leftmost one on ties) is bisected with a nested
+Gauss-Kronrod (7, 15) rule pair until the row's summed error drops below the
+absolute tolerance or the row has spent the evaluation budget.  Rows advance
+in lockstep, so one integrand call evaluates the rule batch of every row
+that still needs work, yet a row's result never depends on the other rows:
+an ``IntegrationRequest`` is simply the one-row case.
 Chopping the infinite tail is the caller's job: pick truncation_point so the
 discarded mass is provably below tolerance (distribution tail quantiles make
 this cheap and rigorous).
@@ -143,8 +143,8 @@ class BatchRequest:
     edges      (rows, n) array holding each row's lower limit, interior
                breakpoints and truncation point, strictly increasing, padded
                on the right with NaN where a row has fewer edges than n
-    abs_tol    absolute error target of each row (one value or one per row)
-    max_evals  integrand-evaluation budget of each row (one or one per row)
+    abs_tol    absolute error target of each row
+    max_evals  integrand-evaluation budget of each row
     row_name   maps a row index to the text naming that row in error messages
     """
 
@@ -165,28 +165,17 @@ class BatchRequest:
             raise ValueError("integration window must be finite; truncate the tail first")
         if (np.diff(edges, axis=1) <= 0.0).any():  # NaN padding compares False
             raise ValueError("edges must be strictly increasing")
-        abs_tol = _per_row(self.abs_tol, len(edges), float)
-        if not (abs_tol > 0.0).all():
+        if not self.abs_tol > 0.0:
             raise ValueError("abs_tol must be positive")
-        max_evals = _per_row(self.max_evals, len(edges), np.int64)
-        if (max_evals < _EVALS_PER_RULE).any():
+        if self.max_evals < _EVALS_PER_RULE:
             raise ValueError("max_evals must allow at least one rule application")
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "abs_tol", abs_tol)
-        object.__setattr__(self, "max_evals", max_evals)
+        object.__setattr__(self, "abs_tol", float(self.abs_tol))
+        object.__setattr__(self, "max_evals", int(self.max_evals))
 
     def prefix(self, row: int) -> str:
         """Error-message lead naming ``row``; empty when rows are unnamed."""
         return "" if self.row_name is None else f"{self.row_name(row)}: "
-
-
-def _per_row(value, n_rows: int, dtype) -> np.ndarray:
-    arr = np.asarray(value, dtype=dtype)
-    if arr.ndim == 0:
-        return np.full(n_rows, arr)
-    if arr.shape != (n_rows,):
-        raise ValueError("per-row settings need one value per row")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -223,8 +212,9 @@ def _apply_rule_batch(f, lows, highs, rows):
     row; all groups share one integrand call, which keeps per-call overhead
     off the inner loops.  The arithmetic per panel is the standard
     embedded-rule estimate with QUADPACK-style sharpening and a roundoff
-    floor.  Returns ``(values, errors, bad)``; ``bad`` is None, or the group
-    index and abscissa of the first non-finite integrand value.
+    floor.  Returns ``(values, errors, bad)``; ``bad`` maps each group that
+    met a non-finite integrand value to the first such abscissa, and that
+    group's values and errors are meaningless.
 
     The rule sums are BLAS matrix-vector products, whose rounding depends on
     the matrix shape and layout.  Stacking groups makes one product per
@@ -241,11 +231,18 @@ def _apply_rule_batch(f, lows, highs, rows):
     fv = fv.reshape(xs.shape)
     resk = halfwidths * (fv @ _WEIGHTS_K)
     resabs = halfwidths * (np.abs(fv) @ _WEIGHTS_K)
+    bad: dict = {}
     # non-finite integrand values cannot cancel out of resabs (weights > 0)
     if not np.isfinite(resabs).all():
-        group, panel = np.argwhere(~np.isfinite(resabs))[0]
-        bad = float(xs[group, panel][~np.isfinite(fv[group, panel])][0])
-        return resk, None, (int(group), bad)
+        for group, panel in np.argwhere(~np.isfinite(resabs)).tolist():
+            if group not in bad:
+                bad[group] = float(xs[group, panel][~np.isfinite(fv[group, panel])][0])
+        # zeros keep the other groups' arithmetic below free of inf and NaN
+        broken = np.zeros(len(rows), dtype=bool)
+        broken[list(bad)] = True
+        fv = np.where(broken[:, None, None], 0.0, fv)
+        resk = np.where(broken[:, None], 0.0, resk)
+        resabs = np.where(broken[:, None], 0.0, resabs)
     # Gauss nodes laid out panel-minor, as a lone row's fv[:, _GAUSS_IDX] is
     gauss = np.ascontiguousarray(fv.transpose(0, 2, 1)[:, _GAUSS_IDX]).transpose(0, 2, 1)
     resg = halfwidths * (gauss @ _WEIGHTS_G)
@@ -256,40 +253,60 @@ def _apply_rule_batch(f, lows, highs, rows):
     sharpened = resasc * np.minimum(1.0, (200.0 * err / safe_asc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), sharpened, err)
     err = np.maximum(err, 50.0 * _EPS * resabs)
-    return resk, err, None
+    return resk, err, bad
 
 
-def _integrate_rows(req: BatchRequest) -> BatchResult:
+def _integrate_rows(req: BatchRequest, raise_unconverged: bool) -> BatchResult:
     """Refine every row of ``req`` to its tolerance or budget, in lockstep.
 
     The initial panel set of a row (one panel per gap between its edges) is
     always evaluated, since no estimate exists without it; ``max_evals``
     bounds the refinement on top of it.  Rows whose initial error is clearly
     within tolerance finish without any per-row Python work.
+
+    A row fails when its integrand turns non-finite, or when it ends
+    unconverged and ``raise_unconverged`` is set.  Rows above the lowest
+    failed row then stop refining, and that row's error is raised once the
+    rows below it are done: the error that integrating the rows one by one
+    would stop at, with no row above it bisected more often than it was.
     """
     f = req.integrand
     edges = req.edges
+    tol = req.abs_tol
+    budget = req.max_evals
     n_panels = np.count_nonzero(~np.isnan(edges), axis=1) - 1
     values = np.empty(len(edges))
     errors = np.empty(len(edges))
     evals = _EVALS_PER_RULE * n_panels
-    tols = req.abs_tol.tolist()
-    budgets = req.max_evals.tolist()
     refining: dict = {}  # row -> [heap of (-err, a, b, value), done panels, total_err]
+    failures: dict = {}  # row -> its QuadratureError
+
+    def fail(r, message, result):
+        failures[r] = QuadratureError(f"{req.prefix(r)}{message}", result)
+
+    def fail_unconverged(r):
+        row = IntegrationResult(float(values[r]), float(errors[r]), int(evals[r]), False)
+        fail(r, f"quadrature did not converge: error estimate {row.error_estimate:.3e} "
+                f"exceeds tolerance {tol:.3e} after {row.evals} evaluations", row)
+
+    def prune():
+        """Stop refining the lowest failed row and every row above it."""
+        first = min(failures)
+        for r in [r for r in refining if r >= first]:
+            del refining[r]
 
     def rule(lows, highs, rows):
         vals, errs, bad = _apply_rule_batch(f, lows, highs, rows)
-        if bad is not None:
-            r = int(rows[bad[0]])
-            raise QuadratureError(
-                f"{req.prefix(r)}integrand returned a non-finite value at x={bad[1]!r}",
-                IntegrationResult(float("nan"), float("inf"), int(evals[r]), False))
-        return vals, errs
+        for g, x in bad.items():
+            r = int(rows[g])
+            fail(r, f"integrand returned a non-finite value at x={x!r}",
+                 IntegrationResult(float("nan"), float("inf"), int(evals[r]), False))
+        return vals, errs, bad
 
     for p in sorted(set(n_panels.tolist())):  # np.unique would import numpy.ma
         group = np.flatnonzero(n_panels == p)
         window = edges[group, :p + 1]
-        vals, errs = rule(window[:, :-1], window[:, 1:], group)
+        vals, errs, bad = rule(window[:, :-1], window[:, 1:], group)
         value = error = 0.0
         for j in range(p):  # left to right from 0.0, as a finished row is summed
             value = value + vals[:, j]
@@ -298,21 +315,28 @@ def _integrate_rows(req: BatchRequest) -> BatchResult:
         errors[group] = error
         # The refinement test sums a row's errors in heap order, which can
         # differ from this sum by rounding only: 4*p*eps relative covers it.
-        slack = 1.0 - 4.0 * p * _EPS
-        rest = ((error > req.abs_tol[group] * slack)
-                & (evals[group] + 2 * _EVALS_PER_RULE <= req.max_evals[group]))
+        rest = ((error > tol * (1.0 - 4.0 * p * _EPS))
+                & (evals[group] + 2 * _EVALS_PER_RULE <= budget))
+        rest[list(bad)] = False
         for g in np.flatnonzero(rest).tolist():
             a_b = window[g].tolist()
             heap: list = []
             for a, b, v, e in zip(a_b, a_b[1:], vals[g].tolist(), errs[g].tolist()):
                 heapq.heappush(heap, (-e, a, b, v))
             refining[int(group[g])] = [heap, [], sum(-item[0] for item in heap)]
+        if raise_unconverged:
+            ended = ~rest & ~(error <= tol)
+            ended[list(bad)] = False
+            for g in np.flatnonzero(ended).tolist():
+                fail_unconverged(int(group[g]))
+    if failures:
+        prune()
 
     while refining:
         batch = []  # (row, a, mid, b, err) of the panel each active row bisects
         for r, state in list(refining.items()):
             heap, done, total_err = state
-            while heap and total_err > tols[r] and evals[r] + 2 * _EVALS_PER_RULE <= budgets[r]:
+            while heap and total_err > tol and evals[r] + 2 * _EVALS_PER_RULE <= budget:
                 neg_err, a, b, value = heapq.heappop(heap)
                 mid = 0.5 * (a + b)
                 if a < mid < b:
@@ -330,20 +354,31 @@ def _integrate_rows(req: BatchRequest) -> BatchResult:
                 values[r] = value
                 errors[r] = error
                 del refining[r]
+                if raise_unconverged and not error <= tol:
+                    fail_unconverged(r)
+        if failures:
+            prune()
+            batch = [item for item in batch if item[0] in refining]
         if not batch:
             break
         rows = np.array([item[0] for item in batch])
         evals[rows] += 2 * _EVALS_PER_RULE
         splits = np.array([(a, mid, b) for _, a, mid, b, _ in batch])
-        halves, half_errs = rule(splits[:, :2], splits[:, 1:], rows)
+        halves, half_errs, bad = rule(splits[:, :2], splits[:, 1:], rows)
+        if bad:
+            prune()
         for (r, a, mid, b, err), (v0, v1), (e0, e1) in zip(batch, halves.tolist(),
                                                            half_errs.tolist()):
-            state = refining[r]
+            state = refining.get(r)
+            if state is None:
+                continue
             heapq.heappush(state[0], (-e0, a, mid, v0))
             heapq.heappush(state[0], (-e1, mid, b, v1))
             state[2] += e0 + e1 - err
 
-    return BatchResult(values, errors, evals, errors <= req.abs_tol)
+    if failures:
+        raise failures[min(failures)]
+    return BatchResult(values, errors, evals, errors <= tol)
 
 
 def _as_batch(req) -> BatchRequest:
@@ -373,29 +408,19 @@ def integrate(req):
     An ``IntegrationRequest`` gives an ``IntegrationResult``, a
     ``BatchRequest`` a ``BatchResult``.  ``converged`` is False when the
     evaluation budget ran out (or every panel hit float resolution) before
-    the error target was met.
+    the error target was met.  A non-finite integrand value raises
+    :class:`QuadratureError` for the lowest row that meets one.
     """
-    result = _integrate_rows(_as_batch(req))
+    result = _integrate_rows(_as_batch(req), raise_unconverged=False)
     return result.row(0) if isinstance(req, IntegrationRequest) else result
 
 
 def integrate_or_raise(req):
     """Like :func:`integrate`, but raises :class:`QuadratureError` on non-convergence.
 
-    The error names the first unconverged row and carries its result.
+    The error names the lowest failed row and carries its result.
     """
-    batch = _as_batch(req)
-    result = _integrate_rows(batch)
-    failed = np.flatnonzero(~result.converged)
-    if failed.size:
-        r = int(failed[0])
-        row = result.row(r)
-        raise QuadratureError(
-            f"{batch.prefix(r)}quadrature did not converge: error estimate "
-            f"{row.error_estimate:.3e} exceeds tolerance {batch.abs_tol[r]:.3e} "
-            f"after {row.evals} evaluations",
-            row,
-        )
+    result = _integrate_rows(_as_batch(req), raise_unconverged=True)
     return result.row(0) if isinstance(req, IntegrationRequest) else result
 
 

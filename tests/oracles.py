@@ -6,19 +6,30 @@ integration, the exponential integral E1 via series / continued fraction,
 and the single-user water-filling baseline (power, rate, and price solve)
 it implies for an exponential gain law.
 
-The exception is ``per_z_inner_integral``, the inner gain integral built
-one interference level at a time: a scalar closure, scalar breakpoint
-merging and one ``IntegrationRequest`` per level.  It reuses the package's
-integrand pieces and one-row integrator on purpose, because it is the
-reference the batched array-of-levels path must match bit for bit.
+The exception is the reference for the batched integrator:
+``reference_integrate``, a plain one-integral adaptive Gauss-Kronrod (7, 15)
+loop, and ``per_z_inner_integral``, the inner gain integral built on it one
+interference level at a time (a scalar closure and scalar breakpoint
+merging).  They reuse the package's rule constants and integrand pieces on
+purpose: the batched rows must match them bit for bit, so they must do the
+same arithmetic in the same order, only one integral at a time.
 """
 
+import heapq
 import math
 
 import numpy as np
 
 from macfade.kernel import _clipped_argument
-from macfade.quadrature import IntegrationRequest, dyadic_panel_edges, integrate_or_raise
+from macfade.quadrature import (
+    _EPS,
+    _GAUSS_IDX,
+    _NODES,
+    _WEIGHTS_G,
+    _WEIGHTS_K,
+    IntegrationResult,
+    dyadic_panel_edges,
+)
 
 
 def simpson(f, a, b, n=20001):
@@ -109,6 +120,67 @@ def wf_solve_lambda(pbar: float, sigma2: float, mean_gain: float) -> float:
     return math.sqrt(lo * hi)
 
 
+def _reference_rule(f, lows, highs):
+    """Gauss-Kronrod 15-point values and error estimates on a 1-D batch of panels."""
+    lows_arr = np.asarray(lows, dtype=float)
+    highs_arr = np.asarray(highs, dtype=float)
+    centers = 0.5 * (lows_arr + highs_arr)
+    halfwidths = 0.5 * (highs_arr - lows_arr)
+    xs = centers[:, None] + halfwidths[:, None] * _NODES
+    fv = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+    resk = halfwidths * (fv @ _WEIGHTS_K)
+    resabs = halfwidths * (np.abs(fv) @ _WEIGHTS_K)
+    assert np.all(np.isfinite(resabs)), "non-finite integrand value"
+    resg = halfwidths * (fv[:, _GAUSS_IDX] @ _WEIGHTS_G)
+    means = resk / (highs_arr - lows_arr)
+    resasc = halfwidths * (np.abs(fv - means[:, None]) @ _WEIGHTS_K)
+    err = np.abs(resk - resg)
+    safe_asc = np.where(resasc > 0.0, resasc, 1.0)
+    sharpened = resasc * np.minimum(1.0, (200.0 * err / safe_asc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), sharpened, err)
+    err = np.maximum(err, 50.0 * _EPS * resabs)
+    return resk, err
+
+
+def reference_integrate(f, lower, upper, breakpoints=(), abs_tol=1e-9, max_evals=100_000):
+    """One integral of the vectorized ``f``, refined on its own.
+
+    Pops the panel with the largest error (the leftmost on ties), bisects
+    it, charges 30 evaluations, and stops at the tolerance or the budget;
+    then sums the panels left to right.
+    """
+    edges = [float(lower), *[float(b) for b in breakpoints], float(upper)]
+    heap: list = []  # (-err, a, b, value)
+    done: list = []  # (a, b, value, err) panels at float resolution
+    values, errs = _reference_rule(f, edges[:-1], edges[1:])
+    evals = 15 * (len(edges) - 1)
+    for a, b, value, err in zip(edges, edges[1:], values, errs):
+        heapq.heappush(heap, (-float(err), a, b, float(value)))
+    total_err = sum(-item[0] for item in heap)
+
+    while heap and total_err > abs_tol and evals + 30 <= max_evals:
+        neg_err, a, b, value = heapq.heappop(heap)
+        err = -neg_err
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            done.append((a, b, value, err))
+            continue
+        halves, half_errs = _reference_rule(f, (a, mid), (mid, b))
+        evals += 30
+        heapq.heappush(heap, (-float(half_errs[0]), a, mid, float(halves[0])))
+        heapq.heappush(heap, (-float(half_errs[1]), mid, b, float(halves[1])))
+        total_err += float(half_errs[0]) + float(half_errs[1]) - err
+
+    panels = done + [(a, b, value, -neg_err) for neg_err, a, b, value in heap]
+    panels.sort(key=lambda p: p[0])
+    value = 0.0
+    error = 0.0
+    for _, _, v, e in panels:
+        value += v
+        error += e
+    return IntegrationResult(value, error, evals, error <= abs_tol)
+
+
 def merge_edges(edges, lower: float, upper: float) -> list:
     """Sort candidate interior edges, dropping out-of-window and near-duplicate ones."""
     gap = 1e-12 * (upper - lower)
@@ -151,14 +223,6 @@ def per_z_inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,
             value = value * dist._cdf_raw(arg)
         return value
 
-    req = IntegrationRequest(
-        integrand,
-        lower,
-        upper,
-        breakpoints=tuple(breakpoints),
-        abs_tol=tol,
-        max_evals=max_evals,
-        vectorized=True,
-    )
-    result = integrate_or_raise(req)
+    result = reference_integrate(integrand, lower, upper, breakpoints, tol, max_evals)
+    assert result.converged, (i, z)
     return max(result.value, 0.0)

@@ -31,7 +31,7 @@ from macfade.quadrature import (
     panel_edges,
 )
 
-from oracles import merge_edges, per_z_inner_integral
+from oracles import merge_edges, per_z_inner_integral, reference_integrate
 
 SIGMA2 = 1.0
 INNER_TOL = 1e-9
@@ -175,23 +175,27 @@ class TestFailureAttribution:
 
 
 class TestBatchRequest:
-    def test_rows_equal_lone_requests(self):
+    # (lower, breakpoints, upper) per row
+    WINDOWS = [(0.0, (1.0, 2.5), 9.0),
+               (0.5, (), 4.0),
+               (-1.0, (0.0,), 30.0),
+               (2.0, (2.1, 2.2, 3.0), 12.0)]
+
+    @pytest.mark.parametrize("tol, budget", [(1e-10, 100_000), (1e-6, 100_000),
+                                             (1e-13, 135)])
+    def test_rows_equal_lone_requests_and_reference(self, tol, budget):
         f = lambda x: np.exp(-x) * np.sin(3.0 * x) ** 2
-        rows = [(0.0, (1.0, 2.5), 9.0, 1e-10, 100_000),
-                (0.5, (), 4.0, 1e-6, 100_000),
-                (-1.0, (0.0,), 30.0, 1e-13, 135),
-                (2.0, (2.1, 2.2, 3.0), 12.0, 1e-9, 100_000)]
-        width = max(len(bps) for _, bps, _, _, _ in rows) + 2
+        width = max(len(bps) for _, bps, _ in self.WINDOWS) + 2
         edges = [[lo, *bps, hi] + [math.nan] * (width - len(bps) - 2)
-                 for lo, bps, hi, _, _ in rows]
-        batch = integrate(BatchRequest(lambda x, r: f(x), edges,
-                                       abs_tol=[row[3] for row in rows],
-                                       max_evals=[row[4] for row in rows]))
+                 for lo, bps, hi in self.WINDOWS]
+        batch = integrate(BatchRequest(lambda x, r: f(x), edges, tol, budget))
         lone = [integrate(IntegrationRequest(f, lo, hi, bps, tol, budget, vectorized=True))
-                for lo, bps, hi, tol, budget in rows]
-        assert [batch.row(r) for r in range(len(rows))] == lone
+                for lo, bps, hi in self.WINDOWS]
+        reference = [reference_integrate(f, lo, hi, bps, tol, budget)
+                     for lo, bps, hi in self.WINDOWS]
+        assert [batch.row(r) for r in range(len(self.WINDOWS))] == lone == reference
         assert batch.evals == sum(res.evals for res in lone)
-        assert not lone[2].converged and lone[0].converged
+        assert all(res.converged for res in lone) == (budget > 135)
 
     def test_unconverged_row_raises_first_failure(self):
         # row 0 integrates x, row 1 a needle 45 evaluations cannot resolve
@@ -202,6 +206,45 @@ class TestBatchRequest:
         with pytest.raises(QuadratureError, match="^row 1: quadrature did not converge") as err:
             integrate_or_raise(req)
         assert err.value.result == integrate(req).row(1)
+
+    def test_rows_above_a_failure_stop_refining(self):
+        # Row 1 has 20 initial panels, so its needle exhausts the shared
+        # budget after 2 bisections; the one-panel needles above it could
+        # run 11.  Row 0 converges at once.
+        budget = 20 * 15 + 2 * 30
+        needle = lambda x: 1.0 / (1e-6 + (x - 0.613) ** 2)
+        counts = np.zeros(4, dtype=int)
+
+        def integrand(x, rows):
+            np.add.at(counts, rows, x.shape[1])
+            return np.where(rows[:, None] == 0, x, needle(x))
+
+        edges = [[0.0, 1.0] + [math.nan] * 19, np.linspace(0.0, 1.0, 21),
+                 [0.0, 1.0] + [math.nan] * 19, [0.0, 1.0] + [math.nan] * 19]
+        req = BatchRequest(integrand, edges, abs_tol=1e-12, max_evals=budget,
+                           row_name=lambda r: f"row {r}")
+        assert integrate(req).row_evals.tolist() == [15, budget, 345, 345]
+        counts[:] = 0
+        with pytest.raises(QuadratureError, match="^row 1: quadrature did not converge") as err:
+            integrate_or_raise(req)
+        assert counts.tolist() == [15, budget, 15 + 2 * 30, 15 + 2 * 30]
+        assert err.value.result == integrate(req).row(1)
+
+    # row 1 ends unconverged; row 2 meets its pole at its first rule (0.5 is
+    # the centre node of [0, 1]) or at its first bisection (0.25)
+    @pytest.mark.parametrize("pole", [0.5, 0.25])
+    def test_lowest_failed_row_wins(self, pole):
+        def integrand(x, rows):
+            with np.errstate(divide="ignore"):
+                return np.where(rows[:, None] == 2, 1.0 / (x - pole),
+                                1.0 / (1e-6 + (x - 0.613) ** 2))
+
+        req = BatchRequest(integrand, [[0.0, 0.1], [0.0, 1.0], [0.0, 1.0]],
+                           abs_tol=1e-12, max_evals=105, row_name=lambda r: f"row {r}")
+        with pytest.raises(QuadratureError, match="^row 1: quadrature did not converge"):
+            integrate_or_raise(req)
+        with pytest.raises(QuadratureError, match=rf"^row 2: .*non-finite value at x={pole}"):
+            integrate(req)
 
     @pytest.mark.parametrize("edges", [
         [[0.0, math.nan, 1.0]],
