@@ -82,8 +82,7 @@ def _rate_point_detailed(mu, lam, channel, mode, tol, tail_eps):
             return rate_integrand(i, z, mu, lam, channel, mode, inner_tol, tail_eps)
 
         req = IntegrationRequest(integrand, 0.0, z_top, abs_tol=tol,
-                                 breakpoints=tuple(dyadic_panel_edges(0.0, z_top)),
-                                 vectorized=True)
+                                 breakpoints=tuple(dyadic_panel_edges(0.0, z_top)))
         result = integrate_or_raise(req)
         rates.append(max(result.value, 0.0))
         errors.append(result.error_estimate)

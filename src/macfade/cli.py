@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -212,7 +211,7 @@ def parse_config(data: dict, base_dir: Path) -> RunConfig:
     units = root.pop("units", "nats")
     if units not in ("nats", "bits"):
         raise ConfigError("units: expected 'nats' or 'bits'")
-    threads = _as_int(root.pop("threads", os.cpu_count() or 1), "threads", minimum=1)
+    threads = _as_int(root.pop("threads", 1), "threads", minimum=1)
     output = root.pop("output", None)
     if output is not None and not isinstance(output, str):
         raise ConfigError("output: expected a path string")
@@ -349,7 +348,7 @@ def cmd_solve(cfg: RunConfig) -> int:
                 mode.value, i + 1, mu[i], solution.lam[i], cfg.channel.users[i].pbar,
                 solution.achieved[i], solution.certified_residuals[i], solution.sweeps,
             ])
-        print(f"{mode.value}: converged in {solution.sweeps} sweeps "
+        print(f"{mode.value}: converged in {solution.sweeps} Newton steps "
               f"({solution.power_evals} power evaluations)", file=sys.stderr)
     _write_csv(cfg, header, rows)
     return EXIT_OK

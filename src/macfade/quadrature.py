@@ -92,8 +92,8 @@ _SHAPE_ERROR = "integrand returned a shape that does not match its input"
 class IntegrationRequest:
     """One integral to evaluate.
 
-    integrand        maps a float (or a float array when ``vectorized``) to
-                     the integrand value(s); must be finite on the window
+    integrand        maps a float array of abscissae to an array of integrand
+                     values of the same shape; must be finite on the window
                      except possibly at breakpoints, which are never sampled
     lower            left endpoint
     truncation_point right endpoint; must exceed ``lower``
@@ -101,7 +101,6 @@ class IntegrationRequest:
                      may kink or jump; panels never straddle them
     abs_tol          absolute error target for the whole window
     max_evals        hard budget of integrand evaluations
-    vectorized       integrand accepts an ndarray of abscissae
     """
 
     integrand: Callable
@@ -110,7 +109,6 @@ class IntegrationRequest:
     breakpoints: tuple = ()
     abs_tol: float = 1e-9
     max_evals: int = 100_000
-    vectorized: bool = False
 
     def __post_init__(self):
         lower = float(self.lower)
@@ -386,14 +384,10 @@ def _as_batch(req) -> BatchRequest:
     if not isinstance(req, IntegrationRequest):
         return req
     f = req.integrand
-    vectorized = req.vectorized
 
     def integrand(x, rows):
         flat = x.ravel()
-        if vectorized:
-            fv = np.asarray(f(flat), dtype=float)
-        else:
-            fv = np.array([f(v) for v in flat], dtype=float)
+        fv = np.asarray(f(flat), dtype=float)
         if fv.shape != flat.shape:
             raise QuadratureError(_SHAPE_ERROR)
         return fv.reshape(x.shape)

@@ -1,16 +1,28 @@
 """Power-price solver: find the price vector meeting the average power budgets.
 
-The achieved average transmit power of user i is strictly decreasing in its
-own price lam_i (a higher price raises the positivity threshold and shrinks
-every rival factor it enters), so each coordinate is solved by bracketed
-bisection on a log scale, and the coordinates are swept Gauss-Seidel style
-until a full sweep leaves every residual inside tolerance.  The fixed point
-is unique, so the sweep order cannot change the answer, only the path.
+The prices are the root of r(x) = (P(exp x) - pbar) / pbar in x = log lam,
+where P is the vector of achieved average powers.  Achieved power falls in
+the own price and rises in every rival's, and the root is unique (the
+Tse-Hanly price structure), so one damped quasi-Newton solve finds it in
+both CDF modes:
 
-Early sweeps solve each coordinate only as tightly as the cross-coupling
-still moves it (inexact Gauss-Seidel); brackets start from the previous
-iterate and expand geometrically on a miss.  Quadrature tolerances scale
-with each user's power budget so tiny budgets stay resolvable.
+- the Jacobian starts as a forward difference (step 1e-4 in x, full
+  quadrature tolerance) and takes a Broyden rank-one update after every
+  accepted step;
+- each step is capped so no price moves by more than ``bracket_growth``,
+  and halved until the largest residual falls; a line search that fails
+  on an updated Jacobian is retried once on a fresh forward difference;
+- a starved user, spending under 1% of its budget, lowers its own price by
+  the full ``bracket_growth`` factor.  Its Jacobian row is zero (power
+  exactly 0, r = -1) or too small to difference, so such steps skip the
+  line search, and the Jacobian is measured afresh once the user spends
+  power again.
+
+Convergence is declared only when every residual, evaluated at the full
+quadrature tolerance, is inside 0.95 ``power_rel_tol``; the returned
+solution is then re-verified at a tenfold tighter tolerance.  Quadrature
+tolerances scale with each user's power budget so tiny budgets stay
+resolvable.
 """
 
 from __future__ import annotations
@@ -33,6 +45,10 @@ from .quadrature import IntegrationRequest, dyadic_panel_edges, integrate_or_rai
 
 __all__ = ["SolverSettings", "SolverResult", "SolverError", "achieved_power", "solve_lambda"]
 
+_FD_STEP = 1e-4      # forward-difference step in log price
+_MAX_HALVINGS = 10   # line-search halvings before the Jacobian is blamed
+_STARVED = 1e-2      # share of its budget below which a user counts as spending 0
+
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -42,7 +58,6 @@ class SolverSettings:
     mode: CdfMode = CdfMode.CORRECTED
     quad_abs_tol: float = DEFAULT_OUTER_TOL
     tail_epsilon: float = DEFAULT_TAIL_EPS
-    max_bisect_iters: int = 200
 
     def __post_init__(self):
         if not self.power_rel_tol > 0.0:
@@ -59,12 +74,12 @@ class SolverResult:
     achieved: tuple
     residuals: tuple            # relative residuals at the working tolerance
     certified_residuals: tuple  # re-verified with quadrature tightened tenfold
-    sweeps: int
+    sweeps: int                 # Newton steps taken
     power_evals: int
 
 
 class SolverError(RuntimeError):
-    """Sweeps exhausted; carries the last iterate and its residuals."""
+    """Newton steps exhausted or stalled; carries the last iterate and its residuals."""
 
     def __init__(self, message, lam=None, residuals=None):
         super().__init__(message)
@@ -92,8 +107,7 @@ def achieved_power(i: int, mu, lam, channel: ChannelConfig,
         return power_integrand(i, z, mu, lam, channel, mode, inner_tol, tail_eps)
 
     req = IntegrationRequest(integrand, 0.0, z_top, abs_tol=tol,
-                             breakpoints=tuple(dyadic_panel_edges(0.0, z_top)),
-                             vectorized=True)
+                             breakpoints=tuple(dyadic_panel_edges(0.0, z_top)))
     result = integrate_or_raise(req)
     return max(result.value, 0.0)
 
@@ -103,91 +117,12 @@ def _quad_tol(settings: SolverSettings, pbar: float) -> float:
     return settings.quad_abs_tol * min(1.0, pbar)
 
 
-def _initial_bracket(i, mu, channel):
-    """Cold-start price bracket around the single-user water-filling scale."""
+def _cold_price(i, mu, channel):
+    """Cold-start price: the geometric middle of the water-filling price scale."""
     dist = channel.users[i].fading
     q99 = dist.quantile(0.99)
     q01 = max(dist.quantile(0.01), 1e-12)
-    lo = mu[i] / (2.0 * channel.sigma2 * q99) * 1e-3
-    hi = mu[i] * 1e3 / (2.0 * channel.sigma2 * q01)
-    return lo, hi
-
-
-class _Tally:
-    __slots__ = ("evals",)
-
-    def __init__(self):
-        self.evals = 0
-
-
-def _solve_coordinate(i, mu, lam_work, channel, settings, width, known_res,
-                      abs_tol, quad_tol, tally):
-    """Bisect lam_work[i] until |achieved - pbar| <= abs_tol.
-
-    ``known_res`` is the residual at the current price, so the bracket only
-    needs to grow on the root's side of it.  Returns the accepted residual
-    and leaves lam_work[i] at the accepted price.
-    """
-    pbar = channel.users[i].pbar
-    growth = settings.bracket_growth
-
-    def residual_at(price):
-        lam_work[i] = price
-        tally.evals += 1
-        lam = LambdaVector(tuple(lam_work))
-        return achieved_power(i, mu, lam, channel, settings.mode,
-                              quad_tol, settings.tail_epsilon) - pbar
-
-    current = lam_work[i]
-    # Achieved power decreases in the price: residual > 0 puts the root above.
-    if known_res > 0.0:
-        lo, r_lo = current, known_res
-        hi = current * width
-        r_hi = residual_at(hi)
-        if abs(r_hi) <= abs_tol:
-            return r_hi
-        for _ in range(600):
-            if r_hi < 0.0:
-                break
-            lo, r_lo = hi, r_hi
-            hi *= growth
-            r_hi = residual_at(hi)
-            if abs(r_hi) <= abs_tol:
-                return r_hi
-        else:
-            raise SolverError(f"could not bracket the price of user {i} from above")
-    else:
-        hi, r_hi = current, known_res
-        lo = current / width
-        r_lo = residual_at(lo)
-        if abs(r_lo) <= abs_tol:
-            return r_lo
-        for _ in range(600):
-            if r_lo > 0.0:
-                break
-            hi, r_hi = lo, r_lo
-            lo /= growth
-            r_lo = residual_at(lo)
-            if abs(r_lo) <= abs_tol:
-                return r_lo
-        else:
-            raise SolverError(f"could not bracket the price of user {i} from below")
-
-    for _ in range(settings.max_bisect_iters):
-        mid = float(np.sqrt(lo * hi))
-        if not lo < mid < hi:
-            break
-        r_mid = residual_at(mid)
-        if abs(r_mid) <= abs_tol:
-            return r_mid
-        if r_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise SolverError(
-        f"bisection for user {i} stalled: bracket [{lo:.6e}, {hi:.6e}] cannot "
-        f"meet the power tolerance; quadrature tolerance may be too loose"
-    )
+    return mu[i] / (2.0 * channel.sigma2 * float(np.sqrt(q99 * q01)))
 
 
 def solve_lambda(mu, channel: ChannelConfig,
@@ -195,8 +130,8 @@ def solve_lambda(mu, channel: ChannelConfig,
                  initial_lambda=None) -> SolverResult:
     """Solve for the unique price vector meeting every average power budget.
 
-    Gauss-Seidel sweeps of per-coordinate bisection; convergence is declared
-    only when a whole sweep finds every residual already inside tolerance.
+    Damped Newton-Broyden steps in log price; convergence is declared only
+    when every residual is inside tolerance at full quadrature precision.
     Pass ``initial_lambda`` to warm-start from a neighboring solution.
     """
     if settings is None:
@@ -209,73 +144,134 @@ def solve_lambda(mu, channel: ChannelConfig,
 
     if initial_lambda is not None:
         values = initial_lambda.lam if isinstance(initial_lambda, LambdaVector) else initial_lambda
-        lam_work = [float(x) for x in values]
-        if len(lam_work) != m or any(x <= 0.0 for x in lam_work):
+        lam0 = [float(x) for x in values]
+        if len(lam0) != m or any(x <= 0.0 for x in lam0):
             raise ValueError("initial_lambda must be a positive vector of matching length")
     else:
-        lam_work = []
-        for i in range(m):
-            lo, hi = _initial_bracket(i, mu, channel)
-            lam_work.append(float(np.sqrt(lo * hi)))
+        lam0 = [_cold_price(i, mu, channel) for i in range(m)]
 
-    tally = _Tally()
-    growth = settings.bracket_growth
+    pbar = [user.pbar for user in channel.users]
+    evals = 0
+
+    def residuals(x, users=range(m)):
+        # Relative power residuals of ``users`` at prices exp(x); others read -1.
+        nonlocal evals
+        lam = LambdaVector(tuple(np.exp(x)))
+        r = np.full(m, -1.0)
+        for i in users:
+            evals += 1
+            r[i] = (achieved_power(i, mu, lam, channel, settings.mode,
+                                   _quad_tol(settings, pbar[i]),
+                                   settings.tail_epsilon) - pbar[i]) / pbar[i]
+        return r
+
+    def fd_jacobian(x, r, live):
+        # Only the live block is measured.  A starved user's power is too
+        # small to difference and barely moves a rival: its row and column
+        # stay zero.
+        users = np.flatnonzero(live).tolist()
+        jac = np.zeros((m, m))
+        for j in users:
+            bumped = x.copy()
+            bumped[j] += _FD_STEP
+            jac[users, j] = (residuals(bumped, users)[users] - r[users]) / _FD_STEP
+        return jac
+
+    max_log_step = float(np.log(settings.bracket_growth))
     # accept 5% inside the contract tolerance so the post-hoc certificate at
     # tighter quadrature cannot be pushed past it by integration noise
     rtol = 0.95 * settings.power_rel_tol
-    residuals = [np.inf] * m
-    widths = [growth] * m   # per-coordinate bracket factor, adapted to movement
-    sweep_rtol = max(rtol, 1e-2)  # inexact early sweeps, tightened by coupling decay
-    for sweep in range(1, settings.max_outer_iters + 1):
-        dirty = False
-        max_move = 0.0
-        for i in range(m):
-            pbar = channel.users[i].pbar
-            lam = LambdaVector(tuple(lam_work))
-            tally.evals += 1
-            res = achieved_power(i, mu, lam, channel, settings.mode,
-                                 _quad_tol(settings, pbar),
-                                 settings.tail_epsilon) - pbar
-            residuals[i] = res / pbar
-            if abs(res) <= rtol * pbar:
-                continue
-            dirty = True
-            previous = lam_work[i]
-            # Coarse sweeps tolerate proportionally coarser quadrature; the
-            # convergence-deciding residuals above always use full precision.
-            quad_relax = min(1e4, max(1.0, 0.01 * sweep_rtol / rtol))
-            accepted = _solve_coordinate(i, mu, lam_work, channel, settings,
-                                         widths[i], res, sweep_rtol * pbar,
-                                         _quad_tol(settings, pbar) * quad_relax,
-                                         tally)
-            residuals[i] = accepted / pbar
-            move = abs(lam_work[i] - previous) / previous
-            max_move = max(max_move, move)
-            widths[i] = min(growth, max(1.0 + 8.0 * move,
-                                        1.0 + 100.0 * settings.power_rel_tol))
-        if not dirty:
-            lam = LambdaVector(tuple(lam_work))
-            achieved = []
-            certified = []
-            for i in range(m):
-                pbar = channel.users[i].pbar
-                value = achieved_power(i, mu, lam, channel, settings.mode,
-                                       _quad_tol(settings, pbar) / 10.0,
-                                       settings.tail_epsilon)
-                achieved.append(value)
-                certified.append((value - pbar) / pbar)
-            return SolverResult(
-                lam=lam,
-                achieved=tuple(achieved),
-                residuals=tuple(residuals),
-                certified_residuals=tuple(certified),
-                sweeps=sweep,
-                power_evals=tally.evals,
-            )
-        sweep_rtol = max(rtol, min(sweep_rtol, 0.25 * max_move))
-    raise SolverError(
-        f"no convergence in {settings.max_outer_iters} sweeps; "
-        f"last residuals {tuple(residuals)}",
-        lam=LambdaVector(tuple(lam_work)),
-        residuals=tuple(residuals),
+    x = np.log(lam0)
+    r = residuals(x)
+    jac = None     # measured lazily, and again whenever a starved user revives
+    fresh = False  # jac is a forward difference with no Broyden update since
+    steps = 0
+    while np.max(np.abs(r)) > rtol:
+        if steps == settings.max_outer_iters:
+            raise _stalled(f"no convergence in {steps} Newton steps", x, r)
+        live = r > _STARVED - 1.0
+        if jac is None:
+            jac, fresh = fd_jacobian(x, r, live), True
+        while True:
+            step = _capped_step(jac, r, live, max_log_step)
+            if step is not None:
+                x_new, r_new = _line_search(residuals, x, r, step, search=live.all())
+                if x_new is not None:
+                    break
+            if fresh:
+                raise _stalled(f"no descent step from a fresh Jacobian after "
+                               f"{steps} Newton steps", x, r)
+            jac, fresh = fd_jacobian(x, r, live), True
+        if (~live & (r_new > _STARVED - 1.0)).any():
+            jac = None
+        elif live.any():
+            s = np.where(live, x_new - x, 0.0)
+            jac += np.outer(np.where(live, r_new - r - jac @ s, 0.0), s) / (s @ s)
+            fresh = False
+        x, r = x_new, r_new
+        steps += 1
+
+    lam = LambdaVector(tuple(np.exp(x)))
+    achieved = [achieved_power(i, mu, lam, channel, settings.mode,
+                               _quad_tol(settings, pbar[i]) / 10.0,
+                               settings.tail_epsilon) for i in range(m)]
+    return SolverResult(
+        lam=lam,
+        achieved=tuple(achieved),
+        residuals=tuple(r.tolist()),
+        certified_residuals=tuple((a - p) / p for a, p in zip(achieved, pbar)),
+        sweeps=steps,
+        power_evals=evals,
     )
+
+
+def _capped_step(jac, r, live, max_log_step):
+    """Newton step of the live users scaled to the cap, starved users down by
+    the cap; None when the live block of ``jac`` is singular."""
+    step = np.full(len(r), -max_log_step)
+    if live.any():
+        newton = _solve(jac[np.ix_(live, live)], -r[live])
+        if newton is None:
+            return None
+        step[live] = newton * (max_log_step / max(max_log_step, np.max(np.abs(newton))))
+    return step
+
+
+def _solve(a, b):
+    """x with a @ x = b by elimination with partial pivoting, overwriting a and b.
+
+    None when a is singular.  ``numpy.linalg`` would load LAPACK for these
+    per-user systems, adding about 0.4 MB to the peak memory of a process.
+    """
+    n = len(b)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if a[p, k] == 0.0:
+            return None
+        a[[k, p]], b[[k, p]] = a[[p, k]], b[[p, k]]
+        factors = a[k + 1:, k] / a[k, k]
+        a[k + 1:] -= np.outer(factors, a[k])
+        b[k + 1:] -= factors * b[k]
+    x = np.zeros(n)
+    for k in reversed(range(n)):
+        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
+    return x
+
+
+def _stalled(reason, x, r) -> SolverError:
+    residuals = tuple(r.tolist())
+    return SolverError(f"{reason}; last residuals {residuals}",
+                       lam=LambdaVector(tuple(np.exp(x))), residuals=residuals)
+
+
+def _line_search(residuals, x, r, step, search):
+    """First of x + step, x + step/2, ... whose largest residual is below r's,
+    or (None, None).  Without ``search`` the full step is taken as it is."""
+    worst = np.max(np.abs(r))
+    for _ in range(_MAX_HALVINGS + 1):
+        x_new = x + step
+        r_new = residuals(x_new)
+        if not search or np.max(np.abs(r_new)) < worst:
+            return x_new, r_new
+        step = step / 2.0
+    return None, None

@@ -189,7 +189,7 @@ class TestBatchRequest:
         edges = [[lo, *bps, hi] + [math.nan] * (width - len(bps) - 2)
                  for lo, bps, hi in self.WINDOWS]
         batch = integrate(BatchRequest(lambda x, r: f(x), edges, tol, budget))
-        lone = [integrate(IntegrationRequest(f, lo, hi, bps, tol, budget, vectorized=True))
+        lone = [integrate(IntegrationRequest(f, lo, hi, bps, tol, budget))
                 for lo, bps, hi in self.WINDOWS]
         reference = [reference_integrate(f, lo, hi, bps, tol, budget)
                      for lo, bps, hi in self.WINDOWS]

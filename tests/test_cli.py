@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -155,6 +156,13 @@ class TestExitCodes:
 
 
 class TestSolveCommand:
+    def test_stderr_counts_newton_steps(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"output": str(tmp_path / "solve.csv")})
+        assert main(["solve", "--config", path]) == 0
+        err = capsys.readouterr().err
+        assert re.search(r"corrected: converged in \d+ Newton steps "
+                         r"\(\d+ power evaluations\)", err)
+
     def test_symmetric_report(self, tmp_path, capsys):
         out = tmp_path / "solve.csv"
         path = write_config(tmp_path, {"mu": [0.5, 0.5], "output": str(out)})
@@ -277,6 +285,13 @@ class TestDumpConfig:
         reparsed = parse_config(doc, tmp_path)
         assert reparsed.mode == "naive"
         assert isinstance(reparsed.mu, RateAwardVector)
+
+    def test_threads_default_is_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"threads": None})
+        assert main(["solve", "--config", path, "--dump-config"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["threads"] == 1
+        assert parse_config(doc, tmp_path).threads == 1
 
     def test_full_precision_numbers(self, tmp_path, capsys):
         path = write_config(tmp_path, {"mu": [1.0 / 3.0, 2.0 / 3.0]})

@@ -15,7 +15,7 @@ from oracles import merge_edges
 
 
 def test_exponential_decay_to_unity():
-    req = IntegrationRequest(lambda x: math.exp(-x), 0.0, 40.0, abs_tol=1e-10)
+    req = IntegrationRequest(lambda x: np.exp(-x), 0.0, 40.0, abs_tol=1e-10)
     res = integrate(req)
     assert res.converged
     assert res.error_estimate <= 1e-10
@@ -32,7 +32,7 @@ def test_truncated_inverse_square():
 
 
 def test_step_integrand_with_breakpoint():
-    req = IntegrationRequest(lambda x: 1.0 if x < 1.0 else 0.0, 0.0, 2.0,
+    req = IntegrationRequest(lambda x: np.where(x < 1.0, 1.0, 0.0), 0.0, 2.0,
                              breakpoints=(1.0,), abs_tol=1e-12)
     res = integrate(req)
     assert res.converged
@@ -46,8 +46,7 @@ def test_linearity():
     alpha, beta = 2.5, -0.75
 
     def run(func):
-        return integrate(IntegrationRequest(func, 0.0, 10.0, abs_tol=tol,
-                                            vectorized=True)).value
+        return integrate(IntegrationRequest(func, 0.0, 10.0, abs_tol=tol)).value
 
     combined = run(lambda x: alpha * f(x) + beta * g(x))
     assert abs(combined - (alpha * run(f) + beta * run(g))) <= 2.0 * tol
@@ -56,9 +55,9 @@ def test_linearity():
 def test_spurious_breakpoint_insensitivity():
     tol = 1e-10
     f = lambda x: np.exp(-x) * np.sin(x) ** 2
-    base = integrate(IntegrationRequest(f, 0.0, 12.0, abs_tol=tol, vectorized=True))
+    base = integrate(IntegrationRequest(f, 0.0, 12.0, abs_tol=tol))
     extra = integrate(IntegrationRequest(f, 0.0, 12.0, breakpoints=(4.321,),
-                                         abs_tol=tol, vectorized=True))
+                                         abs_tol=tol))
     assert base.converged and extra.converged
     assert abs(base.value - extra.value) <= 2.0 * tol
 
@@ -71,18 +70,9 @@ def test_polynomial_exactness_single_panel(degree):
         return np.polyval(coeffs, x)
 
     exact = np.polyval(np.polyint(coeffs), 2.0) - np.polyval(np.polyint(coeffs), -1.0)
-    res = integrate(IntegrationRequest(poly, -1.0, 2.0, abs_tol=1e-6, vectorized=True))
+    res = integrate(IntegrationRequest(poly, -1.0, 2.0, abs_tol=1e-6))
     assert res.evals == 15  # the single panel is already exact
     assert abs(res.value - exact) <= 1e-12 * max(1.0, abs(exact))
-
-
-def test_scalar_and_vectorized_paths_agree():
-    fs = lambda x: math.exp(-x) * x
-    fv = lambda x: np.exp(-x) * x
-    a = integrate(IntegrationRequest(fs, 0.0, 5.0, abs_tol=1e-10))
-    b = integrate(IntegrationRequest(fv, 0.0, 5.0, abs_tol=1e-10, vectorized=True))
-    assert a.value == b.value
-    assert a.evals == b.evals
 
 
 def test_budget_exhaustion_returns_best_estimate():
@@ -130,7 +120,7 @@ def test_converged_implies_error_within_tolerance():
         scale = float(rng.uniform(0.5, 3.0))
         upper = float(rng.uniform(2.0, 30.0))
         req = IntegrationRequest(lambda x, s=scale: np.exp(-s * x), 0.0, upper,
-                                 abs_tol=1e-9, vectorized=True)
+                                 abs_tol=1e-9)
         res = integrate(req)
         exact = (1.0 - math.exp(-scale * upper)) / scale
         assert res.converged

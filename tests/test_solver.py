@@ -8,6 +8,7 @@ from macfade.kernel import CdfMode, ChannelConfig, LambdaVector, RateAwardVector
 from macfade.solver import (
     SolverError,
     SolverSettings,
+    _solve,
     achieved_power,
     solve_lambda,
 )
@@ -125,6 +126,37 @@ class TestSolveLambda:
         for res in naive.certified_residuals:
             assert abs(res) <= 1e-6
 
+    def test_naive_mode_on_a_kinked_law(self):
+        channel = ChannelConfig(1.0, (
+            UserSpec(ExponentialGain(1.0), 1.0),
+            UserSpec(UniformGain(0.3, 2.5), 1.0),
+        ))
+        result = solve_lambda(RateAwardVector((0.7, 0.3)), channel,
+                              SolverSettings(mode=CdfMode.NAIVE_ZERO))
+        for i, res in enumerate(result.certified_residuals):
+            assert abs(res) <= 1e-6, f"user {i} residual {res}"
+
+    def test_start_where_every_user_spends_nothing(self):
+        mu = RateAwardVector((0.7, 0.3))
+        start = LambdaVector((1e3, 1e3))
+        assert all(achieved_power(i, mu, start, CH2) == 0.0 for i in range(2))
+        result = solve_lambda(mu, CH2, initial_lambda=start)
+        for res in result.certified_residuals:
+            assert abs(res) <= 1e-6
+        reference = solve_lambda(mu, CH2)
+        for x, y in zip(result.lam.lam, reference.lam.lam):
+            assert abs(x - y) / y <= 10.0 * 1e-6
+
+    def test_warm_started_point_stays_within_evaluation_bound(self):
+        # acceptance-4 channel, neighbouring points of simplex_grid(3, 7)
+        channel = expo_channel(3, means=[0.5, 1.0, 2.0])
+        cold = solve_lambda(RateAwardVector((1 / 7, 1 / 7, 5 / 7)), channel)
+        warm = solve_lambda(RateAwardVector((1 / 7, 2 / 7, 4 / 7)), channel,
+                            initial_lambda=cold.lam)
+        assert warm.power_evals <= 80
+        for res in warm.certified_residuals:
+            assert abs(res) <= 1e-6
+
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             SolverSettings(power_rel_tol=0.0)
@@ -136,3 +168,15 @@ class TestSolveLambda:
             solve_lambda(RateAwardVector((1.0,)), CH2)
         with pytest.raises(ValueError):
             solve_lambda(MU1, CH1, initial_lambda=(-1.0,))
+
+
+def test_small_linear_solve_matches_lapack():
+    rng = np.random.default_rng(5)
+    for n in range(1, 6):
+        for _ in range(50):
+            a = rng.normal(size=(n, n))
+            b = rng.normal(size=n)
+            expected = np.linalg.solve(a, b)
+            assert np.allclose(_solve(a.copy(), b.copy()), expected, rtol=1e-10, atol=1e-12)
+    assert _solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2)) is None
+    assert _solve(np.zeros((3, 3)), np.ones(3)) is None
