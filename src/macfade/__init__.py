@@ -36,16 +36,7 @@ from .kernel import (
     rate_integrand,
     win_probability,
 )
-from .montecarlo import (
-    FadingState,
-    McEstimate,
-    WinnerPartition,
-    estimate,
-    estimate_win_probability,
-    per_state_allocation,
-    utility,
-    winner_partition,
-)
+from .montecarlo import McEstimate, estimate, estimate_win_probability
 from .quadrature import IntegrationRequest, IntegrationResult, QuadratureError, integrate
 from .solver import SolverError, SolverResult, SolverSettings, achieved_power, solve_lambda
 
@@ -57,7 +48,6 @@ __all__ = [
     "ChannelConfig",
     "ExponentialGain",
     "FadingDistribution",
-    "FadingState",
     "IntegrationRequest",
     "IntegrationResult",
     "LambdaVector",
@@ -71,7 +61,6 @@ __all__ = [
     "SolverSettings",
     "UniformGain",
     "UserSpec",
-    "WinnerPartition",
     "achieved_power",
     "case_boundary",
     "cdf_factor",
@@ -81,14 +70,11 @@ __all__ = [
     "estimate",
     "estimate_win_probability",
     "integrate",
-    "per_state_allocation",
     "power_integrand",
     "rate_integrand",
     "rate_point",
     "simplex_grid",
     "solve_lambda",
     "sweep",
-    "utility",
     "win_probability",
-    "winner_partition",
 ]

@@ -1,15 +1,20 @@
 """Independent Monte Carlo oracle for rates, powers, and win probabilities.
 
-For each joint fading draw the interference axis [0, z_max] is partitioned
-into intervals, each awarded to the user whose marginal utility
+For each joint fading draw the interference axis z >= 0 is awarded slab by
+slab to the user whose marginal utility
 
     u_i(z) = mu_i / (2*(sigma2 + z)) - lam_i / h_i
 
-is strictly largest and positive there.  Utilities are strictly decreasing
-in z and any two of them cross at most once, so the candidate interval
-endpoints are just the per-user positivity roots and the pairwise crossing
-levels.  Winning an interval [z_lo, z_hi] earns rate 0.5*ln((sigma2+z_hi) /
-(sigma2+z_lo)) and costs transmit power (z_hi - z_lo)/h_i.
+is strictly largest and positive there (an exact tie goes to the lowest
+index).  In t = 1/(sigma2 + z) every utility is a line, mu_i*t/2 - lam_i/h_i,
+so the set where user i beats one rival is a half-line and the set where it
+wins is an intersection of half-lines: one interval [enter_i, exit_i].  A
+rival with a larger mu wins at small z and is overtaken past the crossing
+level, which raises enter_i; a rival with a smaller mu does the reverse and
+lowers exit_i, as does the user's own positivity root; a larger-mu rival
+that is no dearer per unit of gain is never overtaken and knocks the user
+out.  Winning [z_lo, z_hi] earns rate 0.5*ln((sigma2+z_hi) / (sigma2+z_lo))
+and costs transmit power (z_hi - z_lo)/h_i.
 
 Randomness is counter-based: chunk j of a run draws its gains from
 Philox(key=seed, counter=j << 128), so any parallel split over whole chunks
@@ -19,6 +24,7 @@ of the stream contract, not a tuning knob.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,13 +33,8 @@ import numpy as np
 from .kernel import ChannelConfig, _coeffs
 
 __all__ = [
-    "FadingState",
-    "WinnerPartition",
     "McEstimate",
     "CHUNK_SIZE",
-    "utility",
-    "winner_partition",
-    "per_state_allocation",
     "state_chunk",
     "estimate",
     "estimate_win_probability",
@@ -43,106 +44,12 @@ CHUNK_SIZE = 4096
 
 
 @dataclass(frozen=True)
-class FadingState:
-    """One joint draw of positive gains, one per user."""
-
-    h: tuple
-
-    def __post_init__(self):
-        h = tuple(float(x) for x in self.h)
-        if not h or any(not (np.isfinite(x) and x > 0.0) for x in h):
-            raise ValueError("every gain in a fading state must be positive and finite")
-        object.__setattr__(self, "h", h)
-
-
-@dataclass(frozen=True)
-class WinnerPartition:
-    """Disjoint, sorted (z_lo, z_hi, winner) intervals; ties flagged."""
-
-    intervals: tuple
-    tie_flagged: bool = False
-
-
-@dataclass(frozen=True)
 class McEstimate:
     rates: tuple
     powers: tuple
     rate_se: tuple
     power_se: tuple
     n_samples: int
-
-
-def utility(i: int, z: float, h_i: float, mu, lam, sigma2: float) -> float:
-    """Marginal utility of awarding user i a received-power slab at level z."""
-    mu = _coeffs(mu)
-    lam = _coeffs(lam)
-    return mu[i] / (2.0 * (sigma2 + z)) - lam[i] / h_i
-
-
-def winner_partition(state: FadingState, mu, lam, sigma2: float) -> WinnerPartition:
-    """Decompose [0, z_max] into intervals won by the strict positive argmax user.
-
-    Candidate endpoints are the positivity roots and the pairwise crossing
-    levels inside (0, z_max); within each elementary interval the utility
-    ranking is constant, so the midpoint decides.  Utilities all decrease in
-    z and any pair crosses at most once, so each user's winning run is
-    contiguous; adjacent elementary intervals with the same winner are
-    merged.  An exact utility tie on an interval goes to the lowest user
-    index and is flagged.
-    """
-    mu_arr = _coeffs(mu)
-    lam_arr = _coeffs(lam)
-    h = np.asarray(state.h, dtype=float)
-    m = len(h)
-
-    roots = mu_arr * h / (2.0 * lam_arr) - sigma2
-    z_max = max(float(np.max(roots)), 0.0)
-    if z_max <= 0.0:
-        return WinnerPartition(())
-
-    cuts = []
-    for r in roots:
-        r = float(r)
-        if 0.0 < r < z_max:
-            cuts.append(r)
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = lam_arr[i] / h[i] - lam_arr[j] / h[j]
-            if d == 0.0:
-                continue
-            z = 0.5 * ((mu_arr[i] - mu_arr[j]) / d) - sigma2
-            if 0.0 < z < z_max:
-                cuts.append(float(z))
-    grid = [0.0] + sorted(cuts) + [z_max]
-
-    intervals = []
-    tie = False
-    for lo, hi in zip(grid, grid[1:]):
-        if hi <= lo:
-            continue
-        zm = 0.5 * (lo + hi)
-        u = mu_arr / (2.0 * (sigma2 + zm)) - lam_arr / h
-        w = int(np.argmax(u))
-        if u[w] > 0.0:
-            if int(np.sum(u == u[w])) > 1:
-                tie = True
-            if intervals and intervals[-1][2] == w and intervals[-1][1] == lo:
-                intervals[-1] = (intervals[-1][0], hi, w)
-            else:
-                intervals.append((lo, hi, w))
-    return WinnerPartition(tuple(intervals), tie)
-
-
-def per_state_allocation(partition: WinnerPartition, state: FadingState,
-                         sigma2: float):
-    """Rates and transmit powers each user collects from one partitioned state."""
-    m = len(state.h)
-    rates = np.zeros(m)
-    powers = np.zeros(m)
-    for lo, hi, w in partition.intervals:
-        rates[w] += 0.5 * np.log((sigma2 + hi) / (sigma2 + lo))
-        powers[w] += (hi - lo) / state.h[w]
-    return tuple(rates), tuple(powers)
 
 
 def _chunk_rng(seed: int, chunk_index: int):
@@ -177,101 +84,99 @@ def state_chunk(channel: ChannelConfig, seed: int, chunk_index: int,
 
 def _allocate_chunk(gains: np.ndarray, mu_arr: np.ndarray, lam_arr: np.ndarray,
                     sigma2: float):
-    """Vectorized per-state allocation.
+    """Per-state rates and powers (n, m) from each user's one winning interval.
 
-    Op-for-op the same arithmetic as the scalar winner_partition /
-    per_state_allocation pair, so a single-state run reproduces those results
-    bit for bit.  Each user's winning run is contiguous (utilities decrease
-    and pairwise-cross at most once), so the run is located by its first and
-    last winning elementary interval and scored on the merged endpoints,
-    exactly like the merged partition intervals.
+    Each pair's crossing level 0.5*((mu_i - mu_j)/d) - sigma2, with
+    d = lam_i/h_i - lam_j/h_j, is computed once.  Where the larger-mu user
+    of the pair pays more per unit of gain, the other overtakes it past the
+    crossing: the crossing caps the larger-mu user's interval from above
+    and opens the other's from below.  Elsewhere the smaller-mu user never
+    wins.  Equal mu gives parallel lines: the cheaper user wins throughout,
+    the lower index on a tie.  The user's own positivity root caps its
+    interval too.  These are the numbers the sort-and-argmax partition cuts
+    at, so rates and powers match it bit for bit on continuous draws.
     """
     n, m = gains.shape
+    cost = lam_arr / gains
     roots = mu_arr * gains / (2.0 * lam_arr) - sigma2
-    z_max = np.maximum(np.max(roots, axis=1), 0.0)
-
-    columns = [np.zeros((n, 1))]
-    columns.append(np.clip(roots, 0.0, z_max[:, None]))
+    enter = [np.zeros(n) for _ in range(m)]
+    exit_ = [roots[:, i] for i in range(m)]
+    alive = [np.ones(n, dtype=bool) for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            d = lam_arr[i] / gains[:, i] - lam_arr[j] / gains[:, j]
-            with np.errstate(divide="ignore", invalid="ignore"):
+            d = cost[:, i] - cost[:, j]
+            if mu_arr[i] == mu_arr[j]:
+                alive[i] &= d <= 0.0
+                alive[j] &= d > 0.0
+                continue
+            if mu_arr[i] > mu_arr[j]:
+                big, small, overtaken = i, j, d > 0.0
+            else:
+                big, small, overtaken = j, i, d < 0.0
+            with np.errstate(divide="ignore"):
                 z = 0.5 * ((mu_arr[i] - mu_arr[j]) / d) - sigma2
-            z = np.where(np.isnan(z), 0.0, z)
-            columns.append(np.clip(z, 0.0, z_max)[:, None])
-    columns.append(z_max[:, None])
-    grid = np.sort(np.concatenate(columns, axis=1), axis=1)
+            exit_[big] = np.minimum(exit_[big], np.where(overtaken, z, np.inf))
+            # where not overtaken, small is knocked out and its enter unused
+            enter[small] = np.maximum(enter[small], z)
+            alive[small] &= overtaken
 
-    lo = grid[:, :-1]
-    hi = grid[:, 1:]
-    mid = 0.5 * (lo + hi)
-    u = mu_arr / (2.0 * (sigma2 + mid[:, :, None])) - lam_arr / gains[:, None, :]
-    winner = np.argmax(u, axis=2)
-    # strict positivity; zero-width intervals score zero either way
-    active = np.max(u, axis=2) > 0.0
-
-    n_intervals = grid.shape[1] - 1
-    rows = np.arange(n)
     rates = np.zeros((n, m))
     powers = np.zeros((n, m))
-    for idx in range(m):
-        mask = active & (winner == idx)
-        won = np.any(mask, axis=1)
-        first = np.argmax(mask, axis=1)
-        last = n_intervals - 1 - np.argmax(mask[:, ::-1], axis=1)
-        z_enter = lo[rows, first]
-        z_exit = hi[rows, last]
-        rates[:, idx] = np.where(
-            won, 0.5 * np.log((sigma2 + z_exit) / (sigma2 + z_enter)), 0.0)
-        powers[:, idx] = np.where(won, (z_exit - z_enter) / gains[:, idx], 0.0)
+    for i in range(m):
+        won = alive[i] & (enter[i] < exit_[i])
+        lo = np.where(won, enter[i], 0.0)
+        hi = np.where(won, exit_[i], 0.0)
+        rates[:, i] = 0.5 * np.log((sigma2 + hi) / (sigma2 + lo))
+        powers[:, i] = (hi - lo) / gains[:, i]
     return rates, powers
 
 
-def _chunk_bounds(n_samples: int, chunk_size: int):
-    n_chunks = (n_samples + chunk_size - 1) // chunk_size
-    for j in range(n_chunks):
-        yield j, min(chunk_size, n_samples - j * chunk_size)
+def _chunk_sum(channel: ChannelConfig, seed: int, n_samples: int, threads: int,
+               chunk_size: int, per_chunk):
+    """Sum of ``per_chunk(gains)`` over the run's chunks, added in chunk order.
+
+    The thread count changes scheduling only, so the sum is bit-identical
+    for any value.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+
+    def run(index):
+        size = min(chunk_size, n_samples - index * chunk_size)
+        return per_chunk(state_chunk(channel, seed, index, chunk_size)[:size])
+
+    chunks = range((n_samples + chunk_size - 1) // chunk_size)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            partials = list(pool.map(run, chunks))
+    else:
+        partials = [run(index) for index in chunks]
+    total = 0
+    for part in partials:
+        total = total + part
+    return total
 
 
 def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
              threads: int = 1, chunk_size: int = CHUNK_SIZE) -> McEstimate:
     """Sample means and standard errors of per-user rates and transmit powers.
 
-    The thread count changes scheduling only: per-chunk partial sums are
-    reduced in chunk order, so estimates are bit-identical for any value.
+    Estimates are bit-identical for any thread count.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
     mu_arr = _coeffs(mu)
     lam_arr = _coeffs(lam)
     sigma2 = channel.sigma2
     m = channel.n_users
 
-    def run_chunk(job):
-        index, size = job
-        gains = state_chunk(channel, seed, index, chunk_size)[:size]
+    def sums(gains):
         rates, powers = _allocate_chunk(gains, mu_arr, lam_arr, sigma2)
-        return (
+        return np.stack((
             np.sum(rates, axis=0), np.sum(rates * rates, axis=0),
             np.sum(powers, axis=0), np.sum(powers * powers, axis=0),
-        )
+        ))
 
-    jobs = list(_chunk_bounds(n_samples, chunk_size))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run_chunk, jobs))
-    else:
-        partials = [run_chunk(job) for job in jobs]
-
-    sum_r = np.zeros(m)
-    sum_r2 = np.zeros(m)
-    sum_p = np.zeros(m)
-    sum_p2 = np.zeros(m)
-    for part in partials:
-        sum_r += part[0]
-        sum_r2 += part[1]
-        sum_p += part[2]
-        sum_p2 += part[3]
+    sum_r, sum_r2, sum_p, sum_p2 = _chunk_sum(channel, seed, n_samples, threads,
+                                              chunk_size, sums)
 
     n = float(n_samples)
     mean_r = sum_r / n
@@ -297,34 +202,21 @@ def estimate_win_probability(channel: ChannelConfig, i: int, z: float, mu, lam,
                              n_samples: int, seed: int, threads: int = 1,
                              chunk_size: int = CHUNK_SIZE):
     """Fraction of states where user i strictly wins with positive utility at z."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
     if not z >= 0.0:
         raise ValueError("z must be nonnegative")
     mu_arr = _coeffs(mu)
     lam_arr = _coeffs(lam)
     sigma2 = channel.sigma2
-    m = channel.n_users
+    rivals = [k for k in range(channel.n_users) if k != i]
 
-    def run_chunk(job):
-        index, size = job
-        gains = state_chunk(channel, seed, index, chunk_size)[:size]
+    def wins(gains):
         u = mu_arr / (2.0 * (sigma2 + z)) - lam_arr / gains
         own = u[:, i]
-        if m == 1:
-            wins = own > 0.0
-        else:
-            rivals = np.max(np.delete(u, i, axis=1), axis=1)
-            wins = (own > rivals) & (own > 0.0)
-        return int(np.count_nonzero(wins))
+        won = own > 0.0
+        if rivals:
+            won &= own > functools.reduce(np.maximum, (u[:, k] for k in rivals))
+        return int(np.count_nonzero(won))
 
-    jobs = list(_chunk_bounds(n_samples, chunk_size))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(run_chunk, jobs))
-    else:
-        counts = [run_chunk(job) for job in jobs]
-
-    p_hat = sum(counts) / n_samples
+    p_hat = _chunk_sum(channel, seed, n_samples, threads, chunk_size, wins) / n_samples
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
     return p_hat, se

@@ -13,14 +13,24 @@ interference level at a time (a scalar closure and scalar breakpoint
 merging).  They reuse the package's rule constants and integrand pieces on
 purpose: the batched rows must match them bit for bit, so they must do the
 same arithmetic in the same order, only one integral at a time.
+
+The Monte Carlo allocation has two references of the same kind.  The
+scalar ``winner_partition`` / ``per_state_allocation`` pair partitions one
+state's interference axis at every root and crossing level and awards each
+elementary interval to its midpoint argmax; ``reference_allocate_chunk`` is
+the same sort-and-argmax procedure over a whole chunk of states.  Both use
+the package's crossing and root expressions, so the closed-form
+``montecarlo._allocate_chunk`` must match them bit for bit on continuous
+draws.
 """
 
 import heapq
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from macfade.kernel import _clipped_argument
+from macfade.kernel import _clipped_argument, _coeffs
 from macfade.quadrature import (
     _EPS,
     _GAUSS_IDX,
@@ -226,3 +236,144 @@ def per_z_inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,
     result = reference_integrate(integrand, lower, upper, breakpoints, tol, max_evals)
     assert result.converged, (i, z)
     return max(result.value, 0.0)
+
+
+@dataclass(frozen=True)
+class FadingState:
+    """One joint draw of positive gains, one per user."""
+
+    h: tuple
+
+    def __post_init__(self):
+        h = tuple(float(x) for x in self.h)
+        if not h or any(not (math.isfinite(x) and x > 0.0) for x in h):
+            raise ValueError("every gain in a fading state must be positive and finite")
+        object.__setattr__(self, "h", h)
+
+
+@dataclass(frozen=True)
+class WinnerPartition:
+    """Disjoint, sorted (z_lo, z_hi, winner) intervals; ties flagged."""
+
+    intervals: tuple
+    tie_flagged: bool = False
+
+
+def utility(i: int, z: float, h_i: float, mu, lam, sigma2: float) -> float:
+    """Marginal utility of awarding user i a received-power slab at level z."""
+    mu = _coeffs(mu)
+    lam = _coeffs(lam)
+    return mu[i] / (2.0 * (sigma2 + z)) - lam[i] / h_i
+
+
+def winner_partition(state: FadingState, mu, lam, sigma2: float) -> WinnerPartition:
+    """Decompose [0, z_max] into intervals won by the strict positive argmax user.
+
+    Candidate endpoints are the positivity roots and the pairwise crossing
+    levels inside (0, z_max); within each elementary interval the utility
+    ranking is constant, so the midpoint decides.  Utilities all decrease in
+    z and any pair crosses at most once, so each user's winning run is
+    contiguous; adjacent elementary intervals with the same winner are
+    merged.  An exact utility tie on an interval goes to the lowest user
+    index and is flagged.
+    """
+    mu_arr = [float(x) for x in _coeffs(mu)]
+    lam_arr = [float(x) for x in _coeffs(lam)]
+    sigma2 = float(sigma2)
+    h = state.h
+    users = range(len(h))
+    costs = [lam_arr[k] / h[k] for k in users]
+
+    roots = [mu_arr[k] * h[k] / (2.0 * lam_arr[k]) - sigma2 for k in users]
+    z_max = max(max(roots), 0.0)
+    if z_max <= 0.0:
+        return WinnerPartition(())
+
+    cuts = [r for r in roots if 0.0 < r < z_max]
+    for i in users:
+        for j in users[i + 1:]:
+            d = costs[i] - costs[j]
+            if d == 0.0:
+                continue
+            z = 0.5 * ((mu_arr[i] - mu_arr[j]) / d) - sigma2
+            if 0.0 < z < z_max:
+                cuts.append(z)
+    grid = [0.0] + sorted(cuts) + [z_max]
+
+    intervals = []
+    tie = False
+    for lo, hi in zip(grid, grid[1:]):
+        if hi <= lo:
+            continue
+        scale = 2.0 * (sigma2 + 0.5 * (lo + hi))
+        u = [mu_arr[k] / scale - costs[k] for k in users]
+        w = max(users, key=u.__getitem__)  # the first of equal maxima
+        if u[w] > 0.0:
+            if u.count(u[w]) > 1:
+                tie = True
+            if intervals and intervals[-1][2] == w and intervals[-1][1] == lo:
+                intervals[-1] = (intervals[-1][0], hi, w)
+            else:
+                intervals.append((lo, hi, w))
+    return WinnerPartition(tuple(intervals), tie)
+
+
+def per_state_allocation(partition: WinnerPartition, state: FadingState,
+                         sigma2: float):
+    """Rates and transmit powers each user collects from one partitioned state."""
+    m = len(state.h)
+    rates = np.zeros(m)
+    powers = np.zeros(m)
+    for lo, hi, w in partition.intervals:
+        rates[w] += 0.5 * np.log((sigma2 + hi) / (sigma2 + lo))
+        powers[w] += (hi - lo) / state.h[w]
+    return tuple(rates), tuple(powers)
+
+
+def reference_allocate_chunk(gains, mu_arr, lam_arr, sigma2):
+    """Sort-and-argmax allocation of a chunk of states, (n, m) rates and powers.
+
+    Every row's roots and crossing levels, clipped to [0, z_max], are sorted
+    into a grid; each elementary interval goes to its midpoint argmax when
+    that utility is positive, and each user is scored on the first and last
+    interval it wins.
+    """
+    n, m = gains.shape
+    roots = mu_arr * gains / (2.0 * lam_arr) - sigma2
+    z_max = np.maximum(np.max(roots, axis=1), 0.0)
+
+    columns = [np.zeros((n, 1))]
+    columns.append(np.clip(roots, 0.0, z_max[:, None]))
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = lam_arr[i] / gains[:, i] - lam_arr[j] / gains[:, j]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                z = 0.5 * ((mu_arr[i] - mu_arr[j]) / d) - sigma2
+            z = np.where(np.isnan(z), 0.0, z)
+            columns.append(np.clip(z, 0.0, z_max)[:, None])
+    columns.append(z_max[:, None])
+    grid = np.sort(np.concatenate(columns, axis=1), axis=1)
+
+    lo = grid[:, :-1]
+    hi = grid[:, 1:]
+    mid = 0.5 * (lo + hi)
+    u = mu_arr / (2.0 * (sigma2 + mid[:, :, None])) - lam_arr / gains[:, None, :]
+    winner = np.argmax(u, axis=2)
+    # strict positivity; zero-width intervals score zero either way
+    active = np.max(u, axis=2) > 0.0
+
+    n_intervals = grid.shape[1] - 1
+    rows = np.arange(n)
+    rates = np.zeros((n, m))
+    powers = np.zeros((n, m))
+    for idx in range(m):
+        mask = active & (winner == idx)
+        won = np.any(mask, axis=1)
+        first = np.argmax(mask, axis=1)
+        last = n_intervals - 1 - np.argmax(mask[:, ::-1], axis=1)
+        z_enter = lo[rows, first]
+        z_exit = hi[rows, last]
+        rates[:, idx] = np.where(
+            won, 0.5 * np.log((sigma2 + z_exit) / (sigma2 + z_enter)), 0.0)
+        powers[:, idx] = np.where(won, (z_exit - z_enter) / gains[:, idx], 0.0)
+    return rates, powers

@@ -1,22 +1,23 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from macfade.boundary import rate_point
-from macfade.fading import ExponentialGain, UniformGain
+from macfade.fading import ExponentialGain, PiecewiseLinearEmpirical, UniformGain
 from macfade.kernel import ChannelConfig, LambdaVector, RateAwardVector, UserSpec, win_probability
-from macfade.montecarlo import (
+from macfade.montecarlo import _allocate_chunk, estimate, estimate_win_probability, state_chunk
+from macfade.solver import solve_lambda
+from oracles import (
     FadingState,
     WinnerPartition,
-    estimate,
-    estimate_win_probability,
     per_state_allocation,
-    state_chunk,
+    reference_allocate_chunk,
     utility,
     winner_partition,
 )
-from macfade.solver import solve_lambda
 
 
 def expo_channel(n_users, sigma2=1.0, means=None, pbars=None):
@@ -35,6 +36,23 @@ CH3 = ChannelConfig(0.7, (
 ))
 MU3 = RateAwardVector((0.5, 0.2, 0.3))
 LAM3 = LambdaVector((0.11, 0.04, 0.07))
+EMPIRICAL = PiecewiseLinearEmpirical((0.1, 0.5, 1.0, 2.0, 4.0), (0.0, 0.2, 0.5, 0.85, 1.0))
+CH4 = ChannelConfig(1.0, (
+    UserSpec(ExponentialGain(0.5), 1.0),
+    UserSpec(UniformGain(0.2, 3.0), 1.0),
+    UserSpec(EMPIRICAL, 1.0),
+    UserSpec(ExponentialGain(2.0), 1.0),
+))
+MU4 = RateAwardVector((0.4, 0.3, 0.2, 0.1))
+LAM4 = LambdaVector((0.1, 0.06, 0.04, 0.02))
+# users 0 and 1 have equal weights: parallel utility lines
+CH_EQ = ChannelConfig(1.0, (
+    UserSpec(ExponentialGain(1.0), 1.0),
+    UserSpec(UniformGain(0.3, 2.5), 1.0),
+    UserSpec(ExponentialGain(1.5), 1.0),
+))
+MU_EQ = RateAwardVector((0.35, 0.35, 0.3))
+LAM_EQ = LambdaVector((0.1, 0.08, 0.06))
 
 
 class TestUtility:
@@ -161,6 +179,73 @@ class TestPerStateAllocation:
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
 
 
+def scalar_allocation(gains, mu, lam, sigma2):
+    """Rates and powers (n, m) from the scalar partition, one state at a time."""
+    rates = np.empty_like(gains)
+    powers = np.empty_like(gains)
+    for row, h in enumerate(gains):
+        state = FadingState(tuple(h))
+        rates[row], powers[row] = per_state_allocation(
+            winner_partition(state, mu, lam, sigma2), state, sigma2)
+    return rates, powers
+
+
+class TestAllocateChunk:
+    @pytest.mark.parametrize("sigma2", [0.1, 1.0])
+    @pytest.mark.parametrize("channel,mu,lam", [
+        (CH2, RateAwardVector((0.7, 0.3)), LambdaVector((0.126, 0.0454))),
+        (CH3, MU3, LAM3),
+        (CH4, MU4, LAM4),
+        (CH_EQ, MU_EQ, LAM_EQ),
+    ], ids=["ch2", "ch3", "ch4", "equal-mu"])
+    def test_equals_scalar_oracle_and_sort_kernel(self, channel, mu, lam, sigma2):
+        channel = dataclasses.replace(channel, sigma2=sigma2)
+        gains = np.concatenate([state_chunk(channel, 17, j) for j in range(13)])[:50_000]
+        mu_arr = mu.as_array()
+        lam_arr = lam.as_array()
+        rates, powers = _allocate_chunk(gains, mu_arr, lam_arr, sigma2)
+        # every user both wins and loses somewhere in the sample
+        assert np.all(np.any(powers > 0.0, axis=0)) and np.all(np.any(powers == 0.0, axis=0))
+        for ref_rates, ref_powers in (scalar_allocation(gains, mu_arr, lam_arr, sigma2),
+                                      reference_allocate_chunk(gains, mu_arr, lam_arr, sigma2)):
+            same = np.all(rates == ref_rates, axis=1) & np.all(powers == ref_powers, axis=1)
+            assert np.all(same), f"first differing row {int(np.argmin(same))}"
+
+    @pytest.mark.parametrize("sigma2", [0.125, 0.1, 1.0])
+    @pytest.mark.parametrize("mu,lam", [
+        # states with equal gains hold exact ties between users 0 and 1
+        ((0.5, 0.5, 0.25), (0.25, 0.25, 0.125)),
+        # states with gains in ratio 1:2 hold d == 0, the larger weight last
+        ((0.25, 0.5, 0.5), (0.125, 0.25, 0.25)),
+        # d == 0 in some states for each pair
+        ((0.5, 0.25, 0.75), (0.25, 0.125, 0.375)),
+        # equal gains put three lines through one point
+        ((0.75, 0.5, 0.25), (0.3125, 0.1875, 0.0625)),
+        ((0.25, 0.5, 0.75), (0.0625, 0.1875, 0.3125)),
+        # every user priced out
+        ((0.5, 0.25, 0.125), (8.0, 8.0, 8.0)),
+    ])
+    def test_degenerate_grid_states(self, mu, lam, sigma2):
+        levels = (0.25, 0.5, 1.0, 2.0)
+        gains = np.array(list(itertools.product(levels, repeat=3)))
+        mu_arr = np.array(mu)
+        lam_arr = np.array(lam)
+        rates, powers = _allocate_chunk(gains, mu_arr, lam_arr, sigma2)
+        for ref_rates, ref_powers in (scalar_allocation(gains, mu_arr, lam_arr, sigma2),
+                                      reference_allocate_chunk(gains, mu_arr, lam_arr, sigma2)):
+            assert np.array_equal(powers > 0.0, ref_powers > 0.0)  # the same winners
+            np.testing.assert_allclose(rates, ref_rates, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(powers, ref_powers, rtol=1e-12, atol=0.0)
+
+    def test_degenerate_single_user(self):
+        gains = np.array([[0.25], [0.5], [1.0], [2.0]])
+        rates, powers = _allocate_chunk(gains, np.array([1.0]), np.array([1.0]), 0.5)
+        ref_rates, ref_powers = scalar_allocation(gains, np.array([1.0]), np.array([1.0]), 0.5)
+        assert np.array_equal(powers > 0.0, [[False], [False], [False], [True]])  # root 0 at h = 1
+        np.testing.assert_allclose(rates, ref_rates, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(powers, ref_powers, rtol=1e-12, atol=0.0)
+
+
 class TestEstimate:
     def test_single_sample_equals_per_state_allocation(self):
         for seed in (0, 3, 11, 2024):
@@ -184,6 +269,12 @@ class TestEstimate:
         p1, se1 = estimate_win_probability(CH2, 0, 0.5, mu, lam, 50_000, 42, threads=1)
         p4, se4 = estimate_win_probability(CH2, 0, 0.5, mu, lam, 50_000, 42, threads=4)
         assert (p1, se1) == (p4, se4)
+        for channel, mu, lam in ((CH3, MU3, LAM3), (CH4, MU4, LAM4)):
+            results = [estimate(channel, mu, lam, 30_001, 7, threads=t) for t in (1, 2, 3)]
+            assert results[0] == results[1] == results[2]
+            probabilities = [estimate_win_probability(channel, 1, 0.3, mu, lam, 30_001, 7,
+                                                      threads=t) for t in (1, 2, 3)]
+            assert probabilities[0] == probabilities[1] == probabilities[2]
 
     def test_partial_final_chunk(self):
         mu = RateAwardVector((0.7, 0.3))
