@@ -22,13 +22,13 @@ from .kernel import (
     RateAwardVector,
     DEFAULT_OUTER_TOL,
     DEFAULT_TAIL_EPS,
+    outer_breakpoints,
     outer_truncation,
     rate_integrand,
 )
 from .quadrature import (
     IntegrationRequest,
     QuadratureError,
-    dyadic_panel_edges,
     integrate_or_raise,
 )
 from .solver import SolverError, SolverSettings, solve_lambda
@@ -82,7 +82,7 @@ def _rate_point_detailed(mu, lam, channel, mode, tol, tail_eps):
             return rate_integrand(i, z, mu, lam, channel, mode, inner_tol, tail_eps)
 
         req = IntegrationRequest(integrand, 0.0, z_top, abs_tol=tol,
-                                 breakpoints=tuple(dyadic_panel_edges(0.0, z_top)))
+                                 breakpoints=outer_breakpoints(i, mu, lam, channel, tail_eps))
         result = integrate_or_raise(req)
         rates.append(max(result.value, 0.0))
         errors.append(result.error_estimate)

@@ -46,25 +46,35 @@ def _like(template, result):
 class FadingDistribution(ABC):
     """Law of a nonnegative channel power gain with continuous density."""
 
-    @abstractmethod
     def pdf(self, h):
         """Density at gain h >= 0 (scalar or array)."""
+        return _like(h, self._pdf_raw(_nonnegative(h)))
 
-    @abstractmethod
     def cdf(self, h):
         """Probability that the gain is at most h, for h >= 0 (+inf maps to 1)."""
+        return _like(h, self._cdf_raw(_nonnegative(h)))
+
+    # Unvalidated array evaluators for integration hot paths whose callers
+    # already guarantee nonnegative arguments.
+    @abstractmethod
+    def _pdf_raw(self, arr: np.ndarray) -> np.ndarray:
+        """Density at every entry of a nonnegative array."""
+
+    @abstractmethod
+    def _cdf_raw(self, arr: np.ndarray) -> np.ndarray:
+        """Cdf at every entry of a nonnegative array (+inf maps to 1)."""
 
     @abstractmethod
     def quantile(self, p):
         """Smallest gain whose cdf reaches p, for p in [0, 1); p=0 gives the support infimum."""
 
-    # Unvalidated array evaluators for integration hot paths whose callers
-    # already guarantee nonnegative arguments.
-    def _pdf_raw(self, arr: np.ndarray) -> np.ndarray:
-        return self.pdf(arr)
+    def kinks(self) -> tuple:
+        """Positive gains where the pdf or cdf is not smooth, in ascending order.
 
-    def _cdf_raw(self, arr: np.ndarray) -> np.ndarray:
-        return self.cdf(arr)
+        Integrals over the gain split at these points so that every panel
+        sees a smooth integrand.
+        """
+        return ()
 
     def sample(self, rng, size=None):
         """Inverse-cdf draw(s) using uniforms from the caller-owned generator."""
@@ -87,14 +97,6 @@ class ExponentialGain(FadingDistribution):
     def __post_init__(self):
         if not (np.isfinite(self.mean_gain) and self.mean_gain > 0.0):
             raise ValueError("mean_gain must be positive and finite")
-
-    def pdf(self, h):
-        arr = _nonnegative(h)
-        return _like(h, self._pdf_raw(arr))
-
-    def cdf(self, h):
-        arr = _nonnegative(h)
-        return _like(h, self._cdf_raw(arr))
 
     def _pdf_raw(self, arr):
         return np.exp(-arr / self.mean_gain) / self.mean_gain
@@ -124,14 +126,6 @@ class UniformGain(FadingDistribution):
         if not (ok and 0.0 <= self.low < self.high):
             raise ValueError("require 0 <= low < high, both finite")
 
-    def pdf(self, h):
-        arr = _nonnegative(h)
-        return _like(h, self._pdf_raw(arr))
-
-    def cdf(self, h):
-        arr = _nonnegative(h)
-        return _like(h, self._cdf_raw(arr))
-
     def _pdf_raw(self, arr):
         inside = (arr >= self.low) & (arr <= self.high)
         return np.where(inside, 1.0 / (self.high - self.low), 0.0)
@@ -144,6 +138,9 @@ class UniformGain(FadingDistribution):
     def quantile(self, p):
         arr = _probability(p)
         return _like(p, self.low + arr * (self.high - self.low))
+
+    def kinks(self) -> tuple:
+        return (self.low, self.high) if self.low > 0.0 else (self.high,)
 
     def tail_point(self, eps: float) -> float:
         if not 0.0 < eps < 1.0:
@@ -200,14 +197,6 @@ class PiecewiseLinearEmpirical(FadingDistribution):
             raise ValueError(f"{path}: malformed knot row: {exc}") from exc
         return cls(h, F)
 
-    def pdf(self, h):
-        arr = _nonnegative(h)
-        return _like(h, self._pdf_raw(arr))
-
-    def cdf(self, h):
-        arr = _nonnegative(h)
-        return _like(h, self._cdf_raw(arr))
-
     def _pdf_raw(self, arr):
         seg = np.searchsorted(self._h, arr, side="right") - 1
         valid = (seg >= 0) & (seg < len(self._h) - 1)
@@ -232,3 +221,6 @@ class PiecewiseLinearEmpirical(FadingDistribution):
         if not 0.0 < eps < 1.0:
             raise ValueError("eps must be in (0, 1)")
         return self.h_knots[-1]
+
+    def kinks(self) -> tuple:
+        return tuple(h for h in self.h_knots if h > 0.0)

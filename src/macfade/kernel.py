@@ -14,12 +14,17 @@ clipping; ``CdfMode.NAIVE_ZERO`` instead maps negative arguments to CDF
 value 0 (the plausible-looking but wrong treatment) so the distortion can be
 quantified side by side.
 
+The gain integrand is also non-smooth at the fading laws' kinks (a uniform
+law's edges, an empirical law's knots): at the user's own kinks, and at
+each gain where a rival's argument x reaches one of that rival's kinks.
 The inner kernels take one interference level z or an array of them.  An
 array is integrated in one batched pass, a row per level with its own
-window, panel edges (the dyadic seeding edges plus every rival's case
-boundary that falls inside the window) and adaptive refinement, so each
-entry equals the one-level call bit for bit.  Outer integrals hand each
-rule batch of levels to one such call.
+window, panel edges (the dyadic seeding edges plus every case boundary,
+own kink and rival-kink preimage that falls inside the window) and
+adaptive refinement, so each entry equals the one-level call bit for bit.
+Outer integrals hand each rule batch of levels to one such call, and
+split their z-range at ``outer_breakpoints``: the levels where two of
+those cut lines, or one and the positivity threshold, cross.
 
 All functions here are pure; everything is safe to evaluate concurrently.
 """
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fading import FadingDistribution
-from .quadrature import BatchRequest, integrate_or_raise, panel_edges
+from .quadrature import BatchRequest, dyadic_panel_edges, integrate_or_raise, panel_edges
 
 __all__ = [
     "CdfMode",
@@ -49,6 +54,7 @@ __all__ = [
     "rate_integrand",
     "power_integrand",
     "inner_lower_limit",
+    "outer_breakpoints",
     "outer_truncation",
     "DEFAULT_INNER_TOL",
     "DEFAULT_OUTER_TOL",
@@ -245,6 +251,18 @@ def inner_lower_limit(i: int, z: float, mu, lam, sigma2: float) -> float:
     return 2.0 * lam[i] * (sigma2 + z) / mu[i]
 
 
+def _kink_preimage(i, k, c, a, mu_arr, lam_arr):
+    """Own gain of user i at which rival k's cross-argument equals the gain c.
+
+    Solves x = c at a = sigma2 + z:
+    h = 2*c*lam_i*a / (2*lam_k*a - c*(mu_k - mu_i)), +inf where that
+    denominator is not positive (the argument never reaches c).
+    """
+    den = 2.0 * lam_arr[k] * a - c * (mu_arr[k] - mu_arr[i])
+    pos = den > 0.0
+    return np.where(pos, 2.0 * c * lam_arr[i] * a / np.where(pos, den, 1.0), np.inf)
+
+
 def _inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,
                     power_weight, max_evals, quantity):
     """Common inner h-integral for the win probability and the power kernel.
@@ -264,10 +282,14 @@ def _inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,
     live = np.flatnonzero(~(upper <= lower))
     if live.size:
         z_live = zs[live]
+        a = sigma2 + z_live
         rivals = [k for k in range(channel.n_users) if k != i]
-        cuts = [2.0 * lam_arr[i] * (sigma2 + z_live) / (mu_arr[i] - mu_arr[k])
-                for k in rivals if mu_arr[k] < mu_arr[i]]
         rival_dists = [channel.users[k].fading for k in rivals]
+        cuts = [2.0 * lam_arr[i] * a / (mu_arr[i] - mu_arr[k])
+                for k in rivals if mu_arr[k] < mu_arr[i]]
+        cuts += [np.full(a.shape, c) for c in dist_i.kinks()]
+        cuts += [_kink_preimage(i, k, c, a, mu_arr, lam_arr)
+                 for k, dist in zip(rivals, rival_dists) for c in dist.kinks()]
 
         def integrand(h, rows):
             z_h = z_live[rows, None]
@@ -300,10 +322,12 @@ def win_probability(i: int, z, mu, lam, channel: ChannelConfig,
 
     Integrates f_i(h) times the product of treated rival CDF factors from the
     positivity threshold upward, splitting panels at every rival's case
-    boundary.  Truncation is at the 1 - tail_eps quantile of user i's own
-    gain, which bounds the discarded tail because the rival factors never
-    exceed 1.  ``z`` may be a float or an array of levels (array result);
-    ``tol`` and ``max_evals`` apply to each level on its own.
+    boundary, at user i's own kinks and at each gain where a rival's CDF
+    argument reaches one of that rival's kinks.  Truncation is at the
+    1 - tail_eps quantile of user i's own gain, which bounds the discarded
+    tail because the rival factors never exceed 1.  ``z`` may be a float or
+    an array of levels (array result); ``tol`` and ``max_evals`` apply to
+    each level on its own.
     """
     return _inner_integral(i, z, _coeffs(mu), _coeffs(lam), channel, mode, tol, tail_eps,
                            power_weight=False, max_evals=max_evals,
@@ -329,6 +353,55 @@ def power_integrand(i: int, z, mu, lam, channel: ChannelConfig,
     """Same inner integral as the win probability with the transmit-power weight 1/h."""
     return _inner_integral(i, z, _coeffs(mu), _coeffs(lam), channel, mode, tol, tail_eps,
                            power_weight=True, max_evals=max_evals, quantity="power")
+
+
+def outer_breakpoints(i: int, mu, lam, channel: ChannelConfig,
+                      tail_eps: float = DEFAULT_TAIL_EPS) -> tuple:
+    """Interior edges of user i's outer integral over z in (0, z_top).
+
+    The dyadic seeding edges, plus every level at which two cut lines of the
+    inner integral cross inside its window.  The cut lines are the
+    positivity threshold, the case boundaries, the rival-kink preimages and
+    the own kinks, each a function of a = sigma2 + z; where two of them
+    cross, the inner integral as a function of z loses smoothness (a jump
+    or kink of the gain integrand enters, leaves or meets another).  Every
+    non-constant line has the form h = p*a / (q*a - r), present where
+    q*a > r, so each crossing is a closed-form root.
+    """
+    mu_l, lam_l = _coeffs(mu).tolist(), _coeffs(lam).tolist()
+    sigma2 = channel.sigma2
+    dist_i = channel.users[i].fading
+    upper = dist_i.tail_point(tail_eps)
+    own = dist_i.kinks()
+    lines = [(2.0 * lam_l[i] / mu_l[i], 0.0, -1.0)]
+    for k in range(channel.n_users):
+        if k == i:
+            continue
+        if mu_l[k] < mu_l[i]:
+            lines.append((2.0 * lam_l[i] / (mu_l[i] - mu_l[k]), 0.0, -1.0))
+        lines += [(2.0 * c * lam_l[i], 2.0 * lam_l[k], c * (mu_l[k] - mu_l[i]))
+                  for c in channel.users[k].fading.kinks()]
+    levels = []
+    for n, (p1, q1, r1) in enumerate(lines):
+        # (numerator, denominator) of the crossing a, and the other line's q, r
+        roots = [(-c * r1, p1 - c * q1, 0.0, -1.0) for c in own]
+        roots += [(p1 * r2 - p2 * r1, p1 * q2 - p2 * q1, q2, r2) for p2, q2, r2 in lines[n + 1:]]
+        for num, den, q2, r2 in roots:
+            if den == 0.0:
+                continue
+            a = num / den
+            if not (a > sigma2 and q1 * a > r1 and q2 * a > r2):
+                continue
+            h = p1 * a / (q1 * a - r1)
+            # only crossings inside the window [threshold, upper] matter; the
+            # 1e-9 slack keeps those on its edge despite rounding
+            if lines[0][0] * a * (1.0 - 1e-9) <= h <= upper * (1.0 + 1e-9):
+                levels.append(a - sigma2)
+    z_top = outer_truncation(i, mu_l, lam_l, channel, tail_eps)
+    if not levels:  # the same edges panel_edges would give, without its overhead
+        return tuple(dyadic_panel_edges(0.0, z_top))
+    edges = panel_edges(np.zeros(1), z_top, [np.array([z]) for z in levels])[0]
+    return tuple(edges[~np.isnan(edges)][1:-1].tolist())
 
 
 def outer_truncation(i: int, mu, lam, channel: ChannelConfig,

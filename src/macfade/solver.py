@@ -38,10 +38,11 @@ from .kernel import (
     RateAwardVector,
     DEFAULT_OUTER_TOL,
     DEFAULT_TAIL_EPS,
+    outer_breakpoints,
     outer_truncation,
     power_integrand,
 )
-from .quadrature import IntegrationRequest, dyadic_panel_edges, integrate_or_raise
+from .quadrature import IntegrationRequest, integrate_or_raise
 
 __all__ = ["SolverSettings", "SolverResult", "SolverError", "achieved_power", "solve_lambda"]
 
@@ -107,7 +108,7 @@ def achieved_power(i: int, mu, lam, channel: ChannelConfig,
         return power_integrand(i, z, mu, lam, channel, mode, inner_tol, tail_eps)
 
     req = IntegrationRequest(integrand, 0.0, z_top, abs_tol=tol,
-                             breakpoints=tuple(dyadic_panel_edges(0.0, z_top)))
+                             breakpoints=outer_breakpoints(i, mu, lam, channel, tail_eps))
     result = integrate_or_raise(req)
     return max(result.value, 0.0)
 

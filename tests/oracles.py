@@ -220,6 +220,13 @@ def per_z_inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,
     for k in rivals:
         if mu_arr[k] < mu_arr[i]:
             edges.append(2.0 * lam_arr[i] * (sigma2 + z) / (mu_arr[i] - mu_arr[k]))
+    edges.extend(dist_i.kinks())
+    for k in rivals:
+        # the gain h at which rival k's CDF argument reaches its kink c
+        for c in channel.users[k].fading.kinks():
+            den = 2.0 * lam_arr[k] * (sigma2 + z) - c * (mu_arr[k] - mu_arr[i])
+            if den > 0.0:
+                edges.append(2.0 * c * lam_arr[i] * (sigma2 + z) / den)
     breakpoints = merge_edges(edges, lower, upper)
 
     rival_dists = [channel.users[k].fading for k in rivals]

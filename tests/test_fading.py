@@ -66,6 +66,23 @@ class TestClosedForms:
             assert dist.cdf(math.inf) == 1.0
 
 
+class TestKinks:
+    def test_each_law_lists_its_non_smooth_gains(self):
+        assert ExponentialGain(1.0).kinks() == ()
+        assert UniformGain(0.5, 2.5).kinks() == (0.5, 2.5)
+        assert UniformGain(0.0, 2.0).kinks() == (2.0,)
+        assert PLE_EXAMPLE.kinks() == (0.5, 1.5, 4.0)
+        assert PiecewiseLinearEmpirical((0.2, 1.0), (0.0, 1.0)).kinks() == (0.2, 1.0)
+
+    @pytest.mark.parametrize("dist", all_distributions())
+    def test_pdf_is_smooth_between_kinks(self, dist):
+        # away from the kinks the pdf varies continuously
+        edges = [0.0, *dist.kinks(), dist.tail_point(1e-6) + 1.0]
+        for a, b in zip(edges, edges[1:]):
+            h = np.linspace(a, b, 2001)[1:-1]
+            assert np.max(np.abs(np.diff(dist.pdf(h)))) < 0.01 * max(1.0, np.max(dist.pdf(h)))
+
+
 class TestDomainErrors:
     def test_negative_gain_rejected(self):
         for dist in all_distributions():
