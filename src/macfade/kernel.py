@@ -23,8 +23,8 @@ window, panel edges (the dyadic seeding edges plus every case boundary,
 own kink and rival-kink preimage that falls inside the window) and
 adaptive refinement, so each entry equals the one-level call bit for bit.
 Outer integrals hand each rule batch of levels to one such call, and
-split their z-range at ``outer_breakpoints``: the levels where two of
-those cut lines, or one and the positivity threshold, cross.
+split their z-range at ``outer_breakpoints``: the levels where a user's
+positivity threshold or a case boundary reaches a kink.
 
 All functions here are pure; everything is safe to evaluate concurrently.
 """
@@ -251,18 +251,6 @@ def inner_lower_limit(i: int, z: float, mu, lam, sigma2: float) -> float:
     return 2.0 * lam[i] * (sigma2 + z) / mu[i]
 
 
-def _kink_preimage(i, k, c, a, mu_arr, lam_arr):
-    """Own gain of user i at which rival k's cross-argument equals the gain c.
-
-    Solves x = c at a = sigma2 + z:
-    h = 2*c*lam_i*a / (2*lam_k*a - c*(mu_k - mu_i)), +inf where that
-    denominator is not positive (the argument never reaches c).
-    """
-    den = 2.0 * lam_arr[k] * a - c * (mu_arr[k] - mu_arr[i])
-    pos = den > 0.0
-    return np.where(pos, 2.0 * c * lam_arr[i] * a / np.where(pos, den, 1.0), np.inf)
-
-
 def _inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,
                     power_weight, max_evals, quantity):
     """Common inner h-integral for the win probability and the power kernel.
@@ -288,8 +276,12 @@ def _inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,
         cuts = [2.0 * lam_arr[i] * a / (mu_arr[i] - mu_arr[k])
                 for k in rivals if mu_arr[k] < mu_arr[i]]
         cuts += [np.full(a.shape, c) for c in dist_i.kinks()]
-        cuts += [_kink_preimage(i, k, c, a, mu_arr, lam_arr)
-                 for k, dist in zip(rivals, rival_dists) for c in dist.kinks()]
+        for k, dist in zip(rivals, rival_dists):
+            for c in dist.kinks():
+                # the gain where rival k's argument reaches c, if it ever does
+                den = 2.0 * lam_arr[k] * a - c * (mu_arr[k] - mu_arr[i])
+                pos = den > 0.0
+                cuts.append(np.where(pos, 2.0 * c * lam_arr[i] * a / np.where(pos, den, 1.0), np.inf))
 
         def integrand(h, rows):
             z_h = z_live[rows, None]
@@ -355,53 +347,39 @@ def power_integrand(i: int, z, mu, lam, channel: ChannelConfig,
                            power_weight=True, max_evals=max_evals, quantity="power")
 
 
-def outer_breakpoints(i: int, mu, lam, channel: ChannelConfig,
-                      tail_eps: float = DEFAULT_TAIL_EPS) -> tuple:
+def outer_breakpoints(i: int, mu, lam, channel: ChannelConfig, z_top: float) -> tuple:
     """Interior edges of user i's outer integral over z in (0, z_top).
 
-    The dyadic seeding edges, plus every level at which two cut lines of the
-    inner integral cross inside its window.  The cut lines are the
-    positivity threshold, the case boundaries, the rival-kink preimages and
-    the own kinks, each a function of a = sigma2 + z; where two of them
-    cross, the inner integral as a function of z loses smoothness (a jump
-    or kink of the gain integrand enters, leaves or meets another).  Every
-    non-constant line has the form h = p*a / (q*a - r), present where
-    q*a > r, so each crossing is a closed-form root.
+    The dyadic seeding edges, plus the levels where a kink of the gain
+    integrand meets a moving cut of the inner integral, so that the inner
+    integral as a function of z is smooth on every panel:
+
+    - a user's positivity threshold reaches one of that user's own kinks,
+      z = mu_j*c/(2*lam_j) - sigma2.  For j = i the kink leaves user i's
+      window; for a rival, user i's threshold meets the preimage of the
+      rival's kink there.
+    - a case boundary of user i reaches one of user i's own kinks,
+      z = c*(mu_i - mu_k)/(2*lam_i) - sigma2.
+
+    There are as many of these as kinks.  The crossings of rival-kink
+    preimages with own kinks (own kinks times rival kinks of them) are left
+    to adaptive refinement: with empirical laws of a hundred knots each they
+    cost more panels than the bisections they save.  A level is dropped
+    when it lies outside the window or within 1e-12*z_top of the edge
+    before it.
     """
     mu_l, lam_l = _coeffs(mu).tolist(), _coeffs(lam).tolist()
-    sigma2 = channel.sigma2
-    dist_i = channel.users[i].fading
-    upper = dist_i.tail_point(tail_eps)
-    own = dist_i.kinks()
-    lines = [(2.0 * lam_l[i] / mu_l[i], 0.0, -1.0)]
-    for k in range(channel.n_users):
-        if k == i:
-            continue
-        if mu_l[k] < mu_l[i]:
-            lines.append((2.0 * lam_l[i] / (mu_l[i] - mu_l[k]), 0.0, -1.0))
-        lines += [(2.0 * c * lam_l[i], 2.0 * lam_l[k], c * (mu_l[k] - mu_l[i]))
-                  for c in channel.users[k].fading.kinks()]
-    levels = []
-    for n, (p1, q1, r1) in enumerate(lines):
-        # (numerator, denominator) of the crossing a, and the other line's q, r
-        roots = [(-c * r1, p1 - c * q1, 0.0, -1.0) for c in own]
-        roots += [(p1 * r2 - p2 * r1, p1 * q2 - p2 * q1, q2, r2) for p2, q2, r2 in lines[n + 1:]]
-        for num, den, q2, r2 in roots:
-            if den == 0.0:
-                continue
-            a = num / den
-            if not (a > sigma2 and q1 * a > r1 and q2 * a > r2):
-                continue
-            h = p1 * a / (q1 * a - r1)
-            # only crossings inside the window [threshold, upper] matter; the
-            # 1e-9 slack keeps those on its edge despite rounding
-            if lines[0][0] * a * (1.0 - 1e-9) <= h <= upper * (1.0 + 1e-9):
-                levels.append(a - sigma2)
-    z_top = outer_truncation(i, mu_l, lam_l, channel, tail_eps)
-    if not levels:  # the same edges panel_edges would give, without its overhead
-        return tuple(dyadic_panel_edges(0.0, z_top))
-    edges = panel_edges(np.zeros(1), z_top, [np.array([z]) for z in levels])[0]
-    return tuple(edges[~np.isnan(edges)][1:-1].tolist())
+    levels = [mu_l[j] * c / (2.0 * lam_l[j])
+              for j in range(channel.n_users) for c in channel.users[j].fading.kinks()]
+    levels += [c * (mu_l[i] - mu_l[k]) / (2.0 * lam_l[i])
+               for k in range(channel.n_users) if mu_l[k] < mu_l[i]
+               for c in channel.users[i].fading.kinks()]
+    gap = 1e-12 * z_top
+    edges = [0.0]
+    for z in sorted([*dyadic_panel_edges(0.0, z_top), *(a - channel.sigma2 for a in levels)]):
+        if z - edges[-1] > gap and z_top - z > gap:
+            edges.append(z)
+    return tuple(edges[1:])
 
 
 def outer_truncation(i: int, mu, lam, channel: ChannelConfig,

@@ -108,7 +108,7 @@ def achieved_power(i: int, mu, lam, channel: ChannelConfig,
         return power_integrand(i, z, mu, lam, channel, mode, inner_tol, tail_eps)
 
     req = IntegrationRequest(integrand, 0.0, z_top, abs_tol=tol,
-                             breakpoints=outer_breakpoints(i, mu, lam, channel, tail_eps))
+                             breakpoints=outer_breakpoints(i, mu, lam, channel, z_top))
     result = integrate_or_raise(req)
     return max(result.value, 0.0)
 

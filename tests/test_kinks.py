@@ -110,16 +110,43 @@ def test_nested_integrals_match_a_reference_split_at_every_kink(mode):
         assert abs(rates[i] - rate_ref) <= 1e-10, (i, rates[i], rate_ref)
 
 
-def test_outer_edges_add_only_crossings_of_cut_lines():
+def _z_top(i, channel):
+    return MU[i] * channel.users[i].fading.tail_point(1e-12) / (2.0 * LAM[i]) - SIGMA2
+
+
+def test_outer_edges_add_only_threshold_and_case_boundary_crossings():
     mu, lam = RateAwardVector(MU), LambdaVector(LAM)
     exp2 = _channel(ExponentialGain(1.0), ExponentialGain(2.0))
     for i in range(2):
-        z_top = MU[i] * exp2.users[i].fading.tail_point(1e-12) / (2.0 * LAM[i]) - SIGMA2
-        assert outer_breakpoints(i, mu, lam, exp2) == tuple(dyadic_panel_edges(0.0, z_top))
+        z_top = _z_top(i, exp2)
+        assert outer_breakpoints(i, mu, lam, exp2, z_top) == tuple(dyadic_panel_edges(0.0, z_top))
     # the rival's threshold reaches its lower edge 0.3 at a negative level
     # and its upper edge 2.5 here, inside user 0's window
     crossing = MU[1] * HIGH / (2.0 * LAM[1]) - SIGMA2
-    assert min(abs(z - crossing) for z in outer_breakpoints(0, mu, lam, MIXED)) < 1e-12
+    edges = outer_breakpoints(0, mu, lam, MIXED, _z_top(0, MIXED))
+    assert min(abs(z - crossing) for z in edges) < 1e-12
+    # with the weights swapped, user 1's case boundary reaches its upper edge
+    swapped = RateAwardVector(MU[::-1])
+    z_top = MU[0] * HIGH / (2.0 * LAM[1]) - SIGMA2
+    crossing = HIGH * (MU[0] - MU[1]) / (2.0 * LAM[1]) - SIGMA2
+    edges = outer_breakpoints(1, swapped, lam, MIXED, z_top)
+    assert 0.0 < crossing < z_top
+    assert min(abs(z - crossing) for z in edges) < 1e-12
+
+
+def test_outer_edges_grow_linearly_with_the_knots():
+    # two 100-knot laws: the 100 x 100 crossings of rival-kink preimages
+    # with own kinks are not edges, the threshold and case-boundary
+    # crossings of every knot may be
+    h = np.linspace(0.0, 4.0, 101) ** 1.2
+    law = PiecewiseLinearEmpirical(tuple(h), tuple(np.linspace(0.0, 1.0, 101)))
+    channel = _channel(law, PiecewiseLinearEmpirical(tuple(1.1 * h), tuple(np.linspace(0.0, 1.0, 101))))
+    mu, lam = RateAwardVector(MU), LambdaVector(LAM)
+    for i in range(2):
+        z_top = _z_top(i, channel)
+        edges = outer_breakpoints(i, mu, lam, channel, z_top)
+        assert len(dyadic_panel_edges(0.0, z_top)) < len(edges) <= 5 + 3 * 100
+        assert all(0.0 < a < b < z_top for a, b in zip(edges, edges[1:]))
 
 
 def _z_scores(channel, mu, solution, n_samples, seed):
