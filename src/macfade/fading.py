@@ -54,8 +54,12 @@ class FadingDistribution(ABC):
         """Probability that the gain is at most h, for h >= 0 (+inf maps to 1)."""
         return _like(h, self._cdf_raw(_nonnegative(h)))
 
-    # Unvalidated array evaluators for integration hot paths whose callers
-    # already guarantee nonnegative arguments.
+    def quantile(self, p):
+        """Smallest gain whose cdf reaches p, for p in [0, 1); p=0 gives the support infimum."""
+        return _like(p, self._quantile_raw(_probability(p)))
+
+    # Unvalidated array evaluators for integration and sampling hot paths
+    # whose callers already guarantee arguments in the domain.
     @abstractmethod
     def _pdf_raw(self, arr: np.ndarray) -> np.ndarray:
         """Density at every entry of a nonnegative array."""
@@ -65,8 +69,8 @@ class FadingDistribution(ABC):
         """Cdf at every entry of a nonnegative array (+inf maps to 1)."""
 
     @abstractmethod
-    def quantile(self, p):
-        """Smallest gain whose cdf reaches p, for p in [0, 1); p=0 gives the support infimum."""
+    def _quantile_raw(self, arr: np.ndarray) -> np.ndarray:
+        """Quantile at every entry of an array of probabilities in [0, 1)."""
 
     def kinks(self) -> tuple:
         """Positive gains where the pdf or cdf is not smooth, in ascending order.
@@ -104,9 +108,8 @@ class ExponentialGain(FadingDistribution):
     def _cdf_raw(self, arr):
         return -np.expm1(-arr / self.mean_gain)
 
-    def quantile(self, p):
-        arr = _probability(p)
-        return _like(p, -self.mean_gain * np.log1p(-arr))
+    def _quantile_raw(self, arr):
+        return -self.mean_gain * np.log1p(-arr)
 
     def tail_point(self, eps: float) -> float:
         if not 0.0 < eps < 1.0:
@@ -135,9 +138,8 @@ class UniformGain(FadingDistribution):
             t = (arr - self.low) / (self.high - self.low)
         return np.clip(t, 0.0, 1.0)
 
-    def quantile(self, p):
-        arr = _probability(p)
-        return _like(p, self.low + arr * (self.high - self.low))
+    def _quantile_raw(self, arr):
+        return self.low + arr * (self.high - self.low)
 
     def kinks(self) -> tuple:
         return (self.low, self.high) if self.low > 0.0 else (self.high,)
@@ -206,8 +208,7 @@ class PiecewiseLinearEmpirical(FadingDistribution):
     def _cdf_raw(self, arr):
         return np.interp(arr, self._h, self._F)
 
-    def quantile(self, p):
-        arr = _probability(p)
+    def _quantile_raw(self, arr):
         idx = np.searchsorted(self._F, arr, side="left")
         idx = np.minimum(idx, len(self._F) - 1)
         i1 = np.maximum(idx, 1)
@@ -215,7 +216,7 @@ class PiecewiseLinearEmpirical(FadingDistribution):
         h0, h1 = self._h[i1 - 1], self._h[i1]
         denom = np.where(f1 > f0, f1 - f0, 1.0)
         interp = h0 + (arr - f0) / denom * (h1 - h0)
-        return _like(p, np.where(idx == 0, self._h[0], interp))
+        return np.where(idx == 0, self._h[0], interp)
 
     def tail_point(self, eps: float) -> float:
         if not 0.0 < eps < 1.0:

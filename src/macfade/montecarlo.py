@@ -17,9 +17,20 @@ out.  Winning [z_lo, z_hi] earns rate 0.5*ln((sigma2+z_hi) / (sigma2+z_lo))
 and costs transmit power (z_hi - z_lo)/h_i.
 
 Randomness is counter-based: chunk j of a run draws its gains from
-Philox(key=seed, counter=j << 128), so any parallel split over whole chunks
-reproduces the serial result bit for bit.  The chunk size is therefore part
-of the stream contract, not a tuning knob.
+Philox(key=seed, counter=j << 128), and the estimate adds per-chunk partial
+sums in chunk order, so any parallel split over whole chunks reproduces the
+serial result bit for bit.  The chunk size is therefore part of the stream
+contract, not a tuning knob.
+
+Work is handed out in tasks of consecutive whole chunks, as many as fit
+a 512 KB task buffer (the partial final chunk is a task of its own).
+Each chunk is drawn and allocated user-major, one contiguous row of states
+per user, and writes its r, r^2, p and p^2 columns into the task buffer;
+one ``np.sum`` per task then yields every chunk's column sums.  The sum
+order is the contract that keeps the bytes: for two or more users each
+column is added row by row in sequence, for one user each column is summed
+pairwise (numpy's order for a contiguous vector), and the per-chunk
+partials are added in chunk order.
 """
 
 from __future__ import annotations
@@ -41,6 +52,10 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 4096
+# A task's buffer holds r, r^2, p and p^2 for every state of its chunks.
+# At 512 KB a 2-user task takes two chunks; 1 MB buffers (four chunks)
+# raised peak memory by about 1 MB more for no clear gain in speed.
+TASK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -56,34 +71,34 @@ def _chunk_rng(seed: int, chunk_index: int):
     return np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 128))
 
 
-def state_chunk(channel: ChannelConfig, seed: int, chunk_index: int,
-                chunk_size: int = CHUNK_SIZE) -> np.ndarray:
-    """Gains (chunk_size, n_users) of chunk ``chunk_index`` of the run's stream.
+def state_chunk(channel: ChannelConfig, seed: int, chunk_index: int) -> np.ndarray:
+    """Gains (CHUNK_SIZE, n_users) of chunk ``chunk_index`` of the run's stream.
 
-    Column k is user k's inverse-cdf transform of its uniform column.  Exact
-    zeros (a probability-zero event) are redrawn from the same substream.
+    Column k is user k's inverse-cdf transform of its uniform column, and
+    each column is contiguous in memory.  Exact zeros (a probability-zero
+    event) are redrawn from the same substream.
     """
     rng = _chunk_rng(seed, chunk_index)
-    m = channel.n_users
-    u = rng.random((chunk_size, m))
-    gains = np.empty_like(u)
-    for k in range(m):
-        gains[:, k] = channel.users[k].fading.quantile(u[:, k])
+    laws = [user.fading for user in channel.users]
+    u = rng.random((CHUNK_SIZE, len(laws)))
+    gains = np.empty((len(laws), CHUNK_SIZE))
+    for k, law in enumerate(laws):
+        gains[k] = law._quantile_raw(u[:, k])
     while True:
         zero = gains == 0.0
         if not np.any(zero):
             break
         fresh = rng.random(int(np.count_nonzero(zero)))
-        u[zero] = fresh
-        for k in range(m):
-            col = zero[:, k]
+        u[zero.T] = fresh  # state-major order, as the uniforms were drawn
+        for k, law in enumerate(laws):
+            col = zero[k]
             if np.any(col):
-                gains[col, k] = channel.users[k].fading.quantile(u[col, k])
-    return gains
+                gains[k, col] = law._quantile_raw(u[col, k])
+    return gains.T
 
 
 def _allocate_chunk(gains: np.ndarray, mu_arr: np.ndarray, lam_arr: np.ndarray,
-                    sigma2: float):
+                    sigma2: float, out=None):
     """Per-state rates and powers (n, m) from each user's one winning interval.
 
     Each pair's crossing level 0.5*((mu_i - mu_j)/d) - sigma2, with
@@ -95,16 +110,26 @@ def _allocate_chunk(gains: np.ndarray, mu_arr: np.ndarray, lam_arr: np.ndarray,
     the lower index on a tie.  The user's own positivity root caps its
     interval too.  These are the numbers the sort-and-argmax partition cuts
     at, so rates and powers match it bit for bit on continuous draws.
+
+    The maths runs on user-major (m, n) arrays, so it is fastest when each
+    column of ``gains`` is contiguous, as ``state_chunk`` lays them out.
+    ``out`` is a (4, m, n) work array: the rates land in out[0] and the
+    powers in out[2], and out[1] and out[3] serve as scratch.  The (n, m)
+    results are views of it.
     """
-    n, m = gains.shape
-    cost = lam_arr / gains
-    roots = mu_arr * gains / (2.0 * lam_arr) - sigma2
-    enter = [np.zeros(n) for _ in range(m)]
-    exit_ = [roots[:, i] for i in range(m)]
-    alive = [np.ones(n, dtype=bool) for _ in range(m)]
+    g = gains.T
+    m, n = g.shape
+    work = np.empty((4, m, n)) if out is None else out
+    exit_, cost, powers, enter = work  # exit_ becomes the rates
+    np.divide(lam_arr[:, None], g, out=cost)
+    np.multiply(mu_arr[:, None], g, out=exit_)  # the positivity roots
+    exit_ /= 2.0 * lam_arr[:, None]
+    exit_ -= sigma2
+    enter.fill(0.0)
+    alive = np.ones((m, n), dtype=bool)
     for i in range(m):
         for j in range(i + 1, m):
-            d = cost[:, i] - cost[:, j]
+            d = cost[i] - cost[j]
             if mu_arr[i] == mu_arr[j]:
                 alive[i] &= d <= 0.0
                 alive[j] &= d > 0.0
@@ -113,52 +138,78 @@ def _allocate_chunk(gains: np.ndarray, mu_arr: np.ndarray, lam_arr: np.ndarray,
                 big, small, overtaken = i, j, d > 0.0
             else:
                 big, small, overtaken = j, i, d < 0.0
+            z = d  # the crossing level, in place
             with np.errstate(divide="ignore"):
-                z = 0.5 * ((mu_arr[i] - mu_arr[j]) / d) - sigma2
-            exit_[big] = np.minimum(exit_[big], np.where(overtaken, z, np.inf))
+                np.divide(mu_arr[i] - mu_arr[j], d, out=z)
+            z *= 0.5
+            z -= sigma2
+            np.minimum(exit_[big], np.where(overtaken, z, np.inf), out=exit_[big])
             # where not overtaken, small is knocked out and its enter unused
-            enter[small] = np.maximum(enter[small], z)
+            np.maximum(enter[small], z, out=enter[small])
             alive[small] &= overtaken
 
-    rates = np.zeros((n, m))
-    powers = np.zeros((n, m))
-    for i in range(m):
-        won = alive[i] & (enter[i] < exit_[i])
-        lo = np.where(won, enter[i], 0.0)
-        hi = np.where(won, exit_[i], 0.0)
-        rates[:, i] = 0.5 * np.log((sigma2 + hi) / (sigma2 + lo))
-        powers[:, i] = (hi - lo) / gains[:, i]
-    return rates, powers
+    lost = ~(alive & (enter < exit_))
+    lo, hi = enter, exit_
+    np.copyto(lo, 0.0, where=lost)
+    np.copyto(hi, 0.0, where=lost)
+    np.subtract(hi, lo, out=powers)
+    np.divide(powers, g, out=powers)
+    rates = hi
+    rates += sigma2
+    np.divide(rates, np.add(lo, sigma2, out=lo), out=rates)
+    np.log(rates, out=rates)
+    rates *= 0.5
+    return rates.T, powers.T
 
 
 def _chunk_sum(channel: ChannelConfig, seed: int, n_samples: int, threads: int,
-               chunk_size: int, per_chunk):
-    """Sum of ``per_chunk(gains)`` over the run's chunks, added in chunk order.
+               task_sums):
+    """Sum of the run's per-chunk partials, added in chunk order.
 
-    The thread count changes scheduling only, so the sum is bit-identical
-    for any value.
+    ``task_sums(draws, rows, count)`` receives an iterator over the gains
+    of one task's ``count`` consecutive chunks, ``rows`` states each, and
+    returns the task's partials in chunk order: one per chunk, or one for
+    the task where any grouping adds up exactly.  A task holds as many full
+    chunks as fit ``TASK_BYTES`` of r, r^2, p and p^2; the partial final
+    chunk is a task of its own.  The thread count changes scheduling only,
+    so the sum is bit-identical for any value.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    per_task = max(1, TASK_BYTES // (CHUNK_SIZE * 4 * channel.n_users * 8))
+    full, rest = divmod(n_samples, CHUNK_SIZE)
+    tasks = [range(j, min(j + per_task, full)) for j in range(0, full, per_task)]
+    if rest:
+        tasks.append(range(full, full + 1))
 
-    def run(index):
-        size = min(chunk_size, n_samples - index * chunk_size)
-        return per_chunk(state_chunk(channel, seed, index, chunk_size)[:size])
+    def run(chunks):
+        rows = min(CHUNK_SIZE, n_samples - chunks.start * CHUNK_SIZE)
+        draws = (state_chunk(channel, seed, j)[:rows] for j in chunks)
+        return task_sums(draws, rows, len(chunks))
 
-    chunks = range((n_samples + chunk_size - 1) // chunk_size)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, chunks))
+    # Worker w runs every workers-th task from task w.  The calling thread is
+    # worker 0, so a run holds one thread's working memory fewer than a pool
+    # of ``threads`` would.
+    workers = max(1, min(threads, len(tasks)))
+
+    def share(w):
+        return [run(chunks) for chunks in tasks[w::workers]]
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            futures = [pool.submit(share, w) for w in range(1, workers)]
+            shares = [share(0)] + [future.result() for future in futures]
     else:
-        partials = [run(index) for index in chunks]
+        shares = [share(0)]
     total = 0
-    for part in partials:
-        total = total + part
+    for t in range(len(tasks)):
+        for part in shares[t % workers][t // workers]:
+            total = total + part
     return total
 
 
 def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
-             threads: int = 1, chunk_size: int = CHUNK_SIZE) -> McEstimate:
+             threads: int = 1) -> McEstimate:
     """Sample means and standard errors of per-user rates and transmit powers.
 
     Estimates are bit-identical for any thread count.
@@ -168,15 +219,23 @@ def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
     sigma2 = channel.sigma2
     m = channel.n_users
 
-    def sums(gains):
-        rates, powers = _allocate_chunk(gains, mu_arr, lam_arr, sigma2)
-        return np.stack((
-            np.sum(rates, axis=0), np.sum(rates * rates, axis=0),
-            np.sum(powers, axis=0), np.sum(powers * powers, axis=0),
-        ))
+    def sums(draws, rows, count):
+        # The sum order of the module docstring: np.sum over axis 0 adds the
+        # rows of a (rows, count, 4m) buffer in sequence.  With one user each
+        # column is kept contiguous instead, and numpy sums it pairwise.
+        if m == 1:
+            buf = np.empty((count, 4, rows)).transpose(2, 0, 1)
+        else:
+            buf = np.empty((rows, count, 4 * m))
+        block = np.empty((4, m, rows))  # r, r^2, p, p^2 of one chunk, user-major
+        for k, gains in enumerate(draws):
+            _allocate_chunk(gains, mu_arr, lam_arr, sigma2, out=block)
+            np.multiply(block[0], block[0], out=block[1])
+            np.multiply(block[2], block[2], out=block[3])
+            buf[:, k] = block.reshape(4 * m, rows).T
+        return np.sum(buf, axis=0).reshape(count, 4, m)
 
-    sum_r, sum_r2, sum_p, sum_p2 = _chunk_sum(channel, seed, n_samples, threads,
-                                              chunk_size, sums)
+    sum_r, sum_r2, sum_p, sum_p2 = _chunk_sum(channel, seed, n_samples, threads, sums)
 
     n = float(n_samples)
     mean_r = sum_r / n
@@ -199,8 +258,7 @@ def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
 
 
 def estimate_win_probability(channel: ChannelConfig, i: int, z: float, mu, lam,
-                             n_samples: int, seed: int, threads: int = 1,
-                             chunk_size: int = CHUNK_SIZE):
+                             n_samples: int, seed: int, threads: int = 1):
     """Fraction of states where user i strictly wins with positive utility at z."""
     if not z >= 0.0:
         raise ValueError("z must be nonnegative")
@@ -217,6 +275,9 @@ def estimate_win_probability(channel: ChannelConfig, i: int, z: float, mu, lam,
             won &= own > functools.reduce(np.maximum, (u[:, k] for k in rivals))
         return int(np.count_nonzero(won))
 
-    p_hat = _chunk_sum(channel, seed, n_samples, threads, chunk_size, wins) / n_samples
+    # integer counts: any grouping of the chunks gives the exact total
+    won_states = _chunk_sum(channel, seed, n_samples, threads,
+                            lambda draws, rows, count: [sum(map(wins, draws))])
+    p_hat = won_states / n_samples
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
     return p_hat, se

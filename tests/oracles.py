@@ -22,8 +22,16 @@ the same sort-and-argmax procedure over a whole chunk of states.  Both use
 the package's crossing and root expressions, so the closed-form
 ``montecarlo._allocate_chunk`` must match them bit for bit on continuous
 draws.
+
+``reference_estimate`` and ``reference_estimate_win_probability`` are a
+frozen copy of the Monte Carlo estimators as they ran one chunk at a time:
+state-major draws, the closed-form allocation on (n, m) arrays, four
+``np.sum(..., axis=0)`` calls per chunk and partials added in chunk order.
+They pin every output byte, so the package's estimators must equal them
+with ``==`` however they group chunks into tasks or threads.
 """
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -384,3 +392,131 @@ def reference_allocate_chunk(gains, mu_arr, lam_arr, sigma2):
             won, 0.5 * np.log((sigma2 + z_exit) / (sigma2 + z_enter)), 0.0)
         powers[:, idx] = np.where(won, (z_exit - z_enter) / gains[:, idx], 0.0)
     return rates, powers
+
+
+# --- Monte Carlo estimator reference (see the module docstring) ------------
+
+REFERENCE_CHUNK_SIZE = 4096
+
+
+def reference_state_chunk(channel, seed: int, chunk_index: int) -> np.ndarray:
+    """Gains (chunk size, n_users) of one chunk, zeros redrawn from its substream."""
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 128))
+    m = channel.n_users
+    u = rng.random((REFERENCE_CHUNK_SIZE, m))
+    gains = np.empty_like(u)
+    for k in range(m):
+        gains[:, k] = channel.users[k].fading.quantile(u[:, k])
+    while True:
+        zero = gains == 0.0
+        if not np.any(zero):
+            break
+        fresh = rng.random(int(np.count_nonzero(zero)))
+        u[zero] = fresh
+        for k in range(m):
+            col = zero[:, k]
+            if np.any(col):
+                gains[col, k] = channel.users[k].fading.quantile(u[col, k])
+    return gains
+
+
+def reference_closed_form_chunk(gains, mu_arr, lam_arr, sigma2):
+    """Closed-form allocation of a (n, m) chunk, column by column."""
+    n, m = gains.shape
+    cost = lam_arr / gains
+    roots = mu_arr * gains / (2.0 * lam_arr) - sigma2
+    enter = [np.zeros(n) for _ in range(m)]
+    exit_ = [roots[:, i] for i in range(m)]
+    alive = [np.ones(n, dtype=bool) for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = cost[:, i] - cost[:, j]
+            if mu_arr[i] == mu_arr[j]:
+                alive[i] &= d <= 0.0
+                alive[j] &= d > 0.0
+                continue
+            if mu_arr[i] > mu_arr[j]:
+                big, small, overtaken = i, j, d > 0.0
+            else:
+                big, small, overtaken = j, i, d < 0.0
+            with np.errstate(divide="ignore"):
+                z = 0.5 * ((mu_arr[i] - mu_arr[j]) / d) - sigma2
+            exit_[big] = np.minimum(exit_[big], np.where(overtaken, z, np.inf))
+            enter[small] = np.maximum(enter[small], z)
+            alive[small] &= overtaken
+
+    rates = np.zeros((n, m))
+    powers = np.zeros((n, m))
+    for i in range(m):
+        won = alive[i] & (enter[i] < exit_[i])
+        lo = np.where(won, enter[i], 0.0)
+        hi = np.where(won, exit_[i], 0.0)
+        rates[:, i] = 0.5 * np.log((sigma2 + hi) / (sigma2 + lo))
+        powers[:, i] = (hi - lo) / gains[:, i]
+    return rates, powers
+
+
+def _reference_chunk_sum(channel, seed, n_samples, per_chunk):
+    total = 0
+    for index in range((n_samples + REFERENCE_CHUNK_SIZE - 1) // REFERENCE_CHUNK_SIZE):
+        size = min(REFERENCE_CHUNK_SIZE, n_samples - index * REFERENCE_CHUNK_SIZE)
+        total = total + per_chunk(reference_state_chunk(channel, seed, index)[:size])
+    return total
+
+
+def reference_estimate(channel, mu, lam, n_samples: int, seed: int):
+    """Sample means and standard errors as an ``McEstimate``, one chunk at a time."""
+    from macfade.montecarlo import McEstimate
+
+    mu_arr = _coeffs(mu)
+    lam_arr = _coeffs(lam)
+    sigma2 = channel.sigma2
+    m = channel.n_users
+
+    def sums(gains):
+        rates, powers = reference_closed_form_chunk(gains, mu_arr, lam_arr, sigma2)
+        return np.stack((
+            np.sum(rates, axis=0), np.sum(rates * rates, axis=0),
+            np.sum(powers, axis=0), np.sum(powers * powers, axis=0),
+        ))
+
+    sum_r, sum_r2, sum_p, sum_p2 = _reference_chunk_sum(channel, seed, n_samples, sums)
+
+    n = float(n_samples)
+    mean_r = sum_r / n
+    mean_p = sum_p / n
+    if n_samples > 1:
+        var_r = np.maximum(sum_r2 - n * mean_r**2, 0.0) / (n - 1.0)
+        var_p = np.maximum(sum_p2 - n * mean_p**2, 0.0) / (n - 1.0)
+        se_r = np.sqrt(var_r / n)
+        se_p = np.sqrt(var_p / n)
+    else:
+        se_r = np.full(m, np.nan)
+        se_p = np.full(m, np.nan)
+    return McEstimate(
+        rates=tuple(mean_r),
+        powers=tuple(mean_p),
+        rate_se=tuple(se_r),
+        power_se=tuple(se_p),
+        n_samples=n_samples,
+    )
+
+
+def reference_estimate_win_probability(channel, i, z, mu, lam, n_samples: int, seed: int):
+    """(fraction of states where user i strictly wins at z, its standard error)."""
+    mu_arr = _coeffs(mu)
+    lam_arr = _coeffs(lam)
+    sigma2 = channel.sigma2
+    rivals = [k for k in range(channel.n_users) if k != i]
+
+    def wins(gains):
+        u = mu_arr / (2.0 * (sigma2 + z)) - lam_arr / gains
+        own = u[:, i]
+        won = own > 0.0
+        if rivals:
+            won &= own > functools.reduce(np.maximum, (u[:, k] for k in rivals))
+        return int(np.count_nonzero(won))
+
+    p_hat = _reference_chunk_sum(channel, seed, n_samples, wins) / n_samples
+    se = float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
+    return p_hat, se

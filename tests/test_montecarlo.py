@@ -15,6 +15,9 @@ from oracles import (
     WinnerPartition,
     per_state_allocation,
     reference_allocate_chunk,
+    reference_estimate,
+    reference_estimate_win_probability,
+    reference_state_chunk,
     utility,
     winner_partition,
 )
@@ -53,6 +56,21 @@ CH_EQ = ChannelConfig(1.0, (
 ))
 MU_EQ = RateAwardVector((0.35, 0.35, 0.3))
 LAM_EQ = LambdaVector((0.1, 0.08, 0.06))
+
+
+class ZeroHeavyGain(UniformGain):
+    """Uniform law whose quantile is an exact zero below p = 0.05 (tests only)."""
+
+    def _quantile_raw(self, arr):
+        return np.where(arr < 0.05, 0.0, super()._quantile_raw(arr))
+
+
+# two users draw zeros, so the order fresh uniforms are handed out in shows
+CH_ZERO = ChannelConfig(1.0, (
+    UserSpec(ZeroHeavyGain(0.0, 2.0), 1.0),
+    UserSpec(ExponentialGain(1.0), 1.0),
+    UserSpec(ZeroHeavyGain(0.0, 3.0), 1.0),
+))
 
 
 class TestUtility:
@@ -279,7 +297,7 @@ class TestEstimate:
     def test_partial_final_chunk(self):
         mu = RateAwardVector((0.7, 0.3))
         lam = LambdaVector((0.126, 0.0454))
-        result = estimate(CH2, mu, lam, 5000, 8, chunk_size=4096)
+        result = estimate(CH2, mu, lam, 5000, 8)
         assert result.n_samples == 5000
         assert all(se > 0.0 for se in result.rate_se)
 
@@ -291,6 +309,59 @@ class TestEstimate:
         for i in range(2):
             assert abs(mc.rates[i] - rates[i]) <= 3.0 * mc.rate_se[i] + 1e-8
             assert abs(mc.powers[i] - 1.0) <= 3.0 * mc.power_se[i] + 1e-6
+
+
+def assert_same_estimate(result, expected):
+    """Equal with ==, the NaN standard errors of a one-state run included."""
+    assert result.n_samples == expected.n_samples
+    assert result.rates == expected.rates and result.powers == expected.powers
+    np.testing.assert_array_equal(result.rate_se, expected.rate_se)
+    np.testing.assert_array_equal(result.power_se, expected.power_se)
+
+
+MC_CASES = {
+    "exp1": (CH1, (1.0,), (0.3,)),
+    "empirical1": (ChannelConfig(0.5, (UserSpec(EMPIRICAL, 1.0),)), (1.0,), (0.4,)),
+    "exp2": (CH2, RateAwardVector((0.7, 0.3)), LambdaVector((0.126, 0.0454))),
+    "mixed2": (ChannelConfig(1.0, (UserSpec(ExponentialGain(1.0), 1.0),
+                                   UserSpec(UniformGain(0.3, 2.5), 1.0))),
+               RateAwardVector((0.3, 0.7)), LambdaVector((0.05, 0.2))),
+    "ch3": (CH3, MU3, LAM3),
+    "ch4": (CH4, MU4, LAM4),
+    "equal-mu": (CH_EQ, MU_EQ, LAM_EQ),
+}
+
+
+class TestReferenceEstimator:
+    """The task-grouped estimators against the one-chunk-at-a-time reference."""
+
+    @pytest.mark.parametrize("n_samples", [1, 4095, 4096, 4097, 30_001, 1 << 18])
+    @pytest.mark.parametrize("case", MC_CASES)
+    def test_equals_reference_bit_for_bit(self, case, n_samples):
+        channel, mu, lam = MC_CASES[case]
+        expected = reference_estimate(channel, mu, lam, n_samples, 11)
+        expected_p = reference_estimate_win_probability(channel, 0, 0.3, mu, lam,
+                                                        n_samples, 11)
+        for threads in (1, 2, 3):
+            assert_same_estimate(estimate(channel, mu, lam, n_samples, 11, threads=threads),
+                                 expected)
+            assert estimate_win_probability(channel, 0, 0.3, mu, lam, n_samples, 11,
+                                            threads=threads) == expected_p
+
+    def test_zero_gains_are_redrawn(self):
+        law = CH_ZERO.users[0].fading
+        first_draw = np.random.Generator(np.random.Philox(key=5, counter=0)).random((4096, 3))
+        assert np.any(law.quantile(first_draw[:, 0]) == 0.0)  # the redraw path runs
+        for index in range(3):
+            gains = state_chunk(CH_ZERO, 5, index)
+            assert np.all(gains > 0.0)
+            assert np.array_equal(gains, reference_state_chunk(CH_ZERO, 5, index))
+        mu, lam = (0.5, 0.3, 0.2), (0.1, 0.08, 0.05)
+        for n_samples in (4097, 30_001):
+            expected = reference_estimate(CH_ZERO, mu, lam, n_samples, 5)
+            for threads in (1, 2):
+                assert_same_estimate(estimate(CH_ZERO, mu, lam, n_samples, 5, threads=threads),
+                                     expected)
 
 
 class TestEstimateWinProbability:
