@@ -28,10 +28,6 @@ from .kernel import (
     LambdaVector,
     RateAwardVector,
     UserSpec,
-    case_boundary,
-    cdf_factor,
-    clip_star,
-    cross_argument,
     power_integrand,
     rate_integrand,
     win_probability,
@@ -62,11 +58,7 @@ __all__ = [
     "UniformGain",
     "UserSpec",
     "achieved_power",
-    "case_boundary",
-    "cdf_factor",
-    "clip_star",
     "compare_modes",
-    "cross_argument",
     "estimate",
     "estimate_win_probability",
     "integrate",

@@ -22,15 +22,10 @@ from .kernel import (
     RateAwardVector,
     DEFAULT_OUTER_TOL,
     DEFAULT_TAIL_EPS,
-    outer_breakpoints,
-    outer_truncation,
+    outer_request,
     rate_integrand,
 )
-from .quadrature import (
-    IntegrationRequest,
-    QuadratureError,
-    integrate_or_raise,
-)
+from .quadrature import QuadratureError, integrate_or_raise
 from .solver import SolverError, SolverSettings, solve_lambda
 
 __all__ = [
@@ -42,6 +37,8 @@ __all__ = [
     "sweep",
     "compare_modes",
 ]
+
+DEFAULT_MU_MIN = 1e-3  # smallest weight a simplex grid may hold
 
 
 @dataclass(frozen=True)
@@ -70,19 +67,12 @@ class BoundaryPoint:
 def _rate_point_detailed(mu, lam, channel, mode, tol, tail_eps):
     rates = []
     errors = []
-    inner_tol = tol / 10.0
     for i in range(channel.n_users):
-        z_top = outer_truncation(i, mu, lam, channel, tail_eps)
-        if z_top <= 0.0:
+        req = outer_request(rate_integrand, i, mu, lam, channel, mode, tol, tail_eps)
+        if req is None:
             rates.append(0.0)
             errors.append(0.0)
             continue
-
-        def integrand(z, i=i):
-            return rate_integrand(i, z, mu, lam, channel, mode, inner_tol, tail_eps)
-
-        req = IntegrationRequest(integrand, 0.0, z_top, abs_tol=tol,
-                                 breakpoints=outer_breakpoints(i, mu, lam, channel, z_top))
         result = integrate_or_raise(req)
         rates.append(max(result.value, 0.0))
         errors.append(result.error_estimate)
@@ -98,7 +88,7 @@ def rate_point(mu, lam, channel: ChannelConfig,
     return rates
 
 
-def simplex_grid(n_users: int, resolution: int, mu_min: float = 1e-3) -> list:
+def simplex_grid(n_users: int, resolution: int, mu_min: float = DEFAULT_MU_MIN) -> list:
     """Uniform lattice of weight vectors strictly inside the simplex.
 
     Lattice points are k/resolution with every integer k_i >= 1, so each

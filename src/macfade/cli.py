@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .boundary import compare_modes, rate_point, simplex_grid, sweep
+from .boundary import DEFAULT_MU_MIN, compare_modes, rate_point, simplex_grid, sweep
 from .fading import ExponentialGain, PiecewiseLinearEmpirical, UniformGain
 from .kernel import (
     CdfMode,
@@ -50,7 +50,7 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class GridSpec:
     resolution: int
-    mu_min: float = 1e-3
+    mu_min: float = DEFAULT_MU_MIN
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def _parse_mu(node, path):
     if isinstance(node, dict):
         node = dict(node)
         resolution = _as_int(_take(node, "resolution", path), f"{path}.resolution", minimum=1)
-        mu_min = _as_float(node.pop("mu_min", 1e-3), f"{path}.mu_min", positive=True)
+        mu_min = _as_float(node.pop("mu_min", DEFAULT_MU_MIN), f"{path}.mu_min", positive=True)
         _no_leftovers(node, path)
         return GridSpec(resolution, mu_min)
     raise ConfigError(f"{path}: expected a weight list or a grid object")
@@ -181,20 +181,20 @@ def parse_config(data: dict, base_dir: Path) -> RunConfig:
         raise ConfigError("mu: length must match the number of users")
 
     solver_node = dict(_expect_mapping(root.pop("solver", {}), "solver"))
-    power_rel_tol = _as_float(solver_node.pop("power_rel_tol", 1e-6),
+    power_rel_tol = _as_float(solver_node.pop("power_rel_tol", SolverSettings.power_rel_tol),
                               "solver.power_rel_tol", positive=True)
-    max_outer_iters = _as_int(solver_node.pop("max_outer_iters", 200),
+    max_outer_iters = _as_int(solver_node.pop("max_outer_iters", SolverSettings.max_outer_iters),
                               "solver.max_outer_iters", minimum=1)
-    bracket_growth = _as_float(solver_node.pop("bracket_growth", 4.0),
+    bracket_growth = _as_float(solver_node.pop("bracket_growth", SolverSettings.bracket_growth),
                                "solver.bracket_growth")
     if not bracket_growth > 1.0:
         raise ConfigError("solver.bracket_growth: must exceed 1")
     _no_leftovers(solver_node, "solver")
 
     quad_node = dict(_expect_mapping(root.pop("quadrature", {}), "quadrature"))
-    outer_abs_tol = _as_float(quad_node.pop("outer_abs_tol", 1e-8),
+    outer_abs_tol = _as_float(quad_node.pop("outer_abs_tol", SolverSettings.quad_abs_tol),
                               "quadrature.outer_abs_tol", positive=True)
-    tail_epsilon = _as_float(quad_node.pop("tail_epsilon", 1e-12),
+    tail_epsilon = _as_float(quad_node.pop("tail_epsilon", SolverSettings.tail_epsilon),
                              "quadrature.tail_epsilon", positive=True)
     if not tail_epsilon < 1.0:
         raise ConfigError("quadrature.tail_epsilon: must be below 1")

@@ -72,6 +72,10 @@ class FadingDistribution(ABC):
     def _quantile_raw(self, arr: np.ndarray) -> np.ndarray:
         """Quantile at every entry of an array of probabilities in [0, 1)."""
 
+    @abstractmethod
+    def _tail_raw(self, eps: float):
+        """Tail point for a tail mass eps in (0, 1)."""
+
     def kinks(self) -> tuple:
         """Positive gains where the pdf or cdf is not smooth, in ascending order.
 
@@ -89,7 +93,7 @@ class FadingDistribution(ABC):
         """Smallest gain beyond which the remaining tail mass is at most eps."""
         if not 0.0 < eps < 1.0:
             raise ValueError("eps must be in (0, 1)")
-        return float(self.quantile(1.0 - eps))
+        return float(self._tail_raw(eps))
 
 
 @dataclass(frozen=True)
@@ -111,10 +115,8 @@ class ExponentialGain(FadingDistribution):
     def _quantile_raw(self, arr):
         return -self.mean_gain * np.log1p(-arr)
 
-    def tail_point(self, eps: float) -> float:
-        if not 0.0 < eps < 1.0:
-            raise ValueError("eps must be in (0, 1)")
-        return float(-self.mean_gain * np.log(eps))
+    def _tail_raw(self, eps):
+        return -self.mean_gain * np.log(eps)
 
 
 @dataclass(frozen=True)
@@ -144,9 +146,7 @@ class UniformGain(FadingDistribution):
     def kinks(self) -> tuple:
         return (self.low, self.high) if self.low > 0.0 else (self.high,)
 
-    def tail_point(self, eps: float) -> float:
-        if not 0.0 < eps < 1.0:
-            raise ValueError("eps must be in (0, 1)")
+    def _tail_raw(self, eps):
         return self.high
 
 
@@ -218,9 +218,7 @@ class PiecewiseLinearEmpirical(FadingDistribution):
         interp = h0 + (arr - f0) / denom * (h1 - h0)
         return np.where(idx == 0, self._h[0], interp)
 
-    def tail_point(self, eps: float) -> float:
-        if not 0.0 < eps < 1.0:
-            raise ValueError("eps must be in (0, 1)")
+    def _tail_raw(self, eps):
         return self.h_knots[-1]
 
     def kinks(self) -> tuple:

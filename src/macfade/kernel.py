@@ -22,9 +22,10 @@ array is integrated in one batched pass, a row per level with its own
 window, panel edges (the dyadic seeding edges plus every case boundary,
 own kink and rival-kink preimage that falls inside the window) and
 adaptive refinement, so each entry equals the one-level call bit for bit.
-Outer integrals hand each rule batch of levels to one such call, and
-split their z-range at ``outer_breakpoints``: the levels where a user's
-positivity threshold or a case boundary reaches a kink.
+``outer_request`` sets up the outer integrals: each rule batch of levels
+goes to one such call, and the z-range splits at ``outer_breakpoints``,
+the levels where a user's positivity threshold or a case boundary
+reaches a kink.
 
 All functions here are pure; everything is safe to evaluate concurrently.
 """
@@ -38,7 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fading import FadingDistribution
-from .quadrature import BatchRequest, dyadic_panel_edges, integrate_or_raise, panel_edges
+from .quadrature import (
+    BatchRequest,
+    IntegrationRequest,
+    dyadic_panel_edges,
+    integrate_or_raise,
+    panel_edges,
+)
 
 __all__ = [
     "CdfMode",
@@ -46,16 +53,11 @@ __all__ = [
     "UserSpec",
     "RateAwardVector",
     "LambdaVector",
-    "clip_star",
-    "cross_argument",
-    "case_boundary",
-    "cdf_factor",
     "win_probability",
     "rate_integrand",
     "power_integrand",
-    "inner_lower_limit",
     "outer_breakpoints",
-    "outer_truncation",
+    "outer_request",
     "DEFAULT_INNER_TOL",
     "DEFAULT_OUTER_TOL",
     "DEFAULT_TAIL_EPS",
@@ -115,104 +117,63 @@ class ChannelConfig:
         return tuple(u.pbar for u in self.users)
 
 
+class _Vector:
+    """Tuple plumbing shared by the weight and price vectors.
+
+    A subclass is a frozen dataclass with one tuple field, named by
+    ``_field``, and a ``_check`` that rejects out-of-range entries.
+    """
+
+    _field = ""
+
+    def __post_init__(self):
+        values = tuple(float(x) for x in getattr(self, self._field))
+        if not values:
+            raise ValueError(f"{self._field} must be nonempty")
+        self._check(values)
+        object.__setattr__(self, self._field, values)
+        object.__setattr__(self, "_values", values)
+
+    def __len__(self):
+        return len(self._values)
+
+    def __getitem__(self, i):
+        return self._values[i]
+
+    def as_array(self) -> np.ndarray:
+        return np.asarray(self._values, dtype=float)
+
+
 @dataclass(frozen=True)
-class RateAwardVector:
+class RateAwardVector(_Vector):
     """Simplex weights picking the boundary point: mu_i in (0, 1], sum = 1."""
 
     mu: tuple
+    _field = "mu"
 
-    def __post_init__(self):
-        mu = tuple(float(x) for x in self.mu)
-        if not mu:
-            raise ValueError("mu must be nonempty")
+    @staticmethod
+    def _check(mu):
         if any(not (0.0 < x <= 1.0) for x in mu):
             raise ValueError("every mu_i must lie in (0, 1]")
         if abs(math.fsum(mu) - 1.0) > SIMPLEX_TOL:
             raise ValueError(f"mu must sum to 1 within {SIMPLEX_TOL}")
-        object.__setattr__(self, "mu", mu)
-
-    def __len__(self):
-        return len(self.mu)
-
-    def __getitem__(self, i):
-        return self.mu[i]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.mu, dtype=float)
 
 
 @dataclass(frozen=True)
-class LambdaVector:
+class LambdaVector(_Vector):
     """Per-user power prices (utility per unit transmit power), all positive."""
 
     lam: tuple
+    _field = "lam"
 
-    def __post_init__(self):
-        lam = tuple(float(x) for x in self.lam)
-        if not lam:
-            raise ValueError("lam must be nonempty")
+    @staticmethod
+    def _check(lam):
         if any(not (np.isfinite(x) and x > 0.0) for x in lam):
             raise ValueError("every power price must be positive and finite")
-        object.__setattr__(self, "lam", lam)
-
-    def __len__(self):
-        return len(self.lam)
-
-    def __getitem__(self, i):
-        return self.lam[i]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.lam, dtype=float)
 
 
 def _coeffs(v) -> np.ndarray:
-    if isinstance(v, RateAwardVector):
-        return v.as_array()
-    if isinstance(v, LambdaVector):
-        return v.as_array()
-    return np.asarray(v, dtype=float)
-
-
-def clip_star(x: float) -> float:
-    """Clip a CDF argument: identity for x >= 0, +inf for x < 0.
-
-    The +inf sentinel makes the downstream CDF evaluate to 1 (the rival gain
-    is surely below an unreachable threshold read the other way around).
-    Idempotent by construction.
-    """
-    return x if x >= 0.0 else math.inf
-
-
-def cross_argument(i: int, k: int, h: float, z: float, mu, lam, sigma2: float) -> float:
-    """Argument fed to rival k's CDF when user i holds gain h at level z.
-
-    Positive exactly when the denominator is positive (the numerator always
-    is for h > 0).  An exact denominator zero returns +inf, the limit from
-    below; the event has measure zero and the clipped factor is continuous
-    through it.
-    """
-    mu = _coeffs(mu)
-    lam = _coeffs(lam)
-    a = sigma2 + z
-    num = 2.0 * lam[k] * h * a
-    den = 2.0 * lam[i] * a + (mu[k] - mu[i]) * h
-    if den == 0.0:
-        return math.inf
-    return num / den
-
-
-def case_boundary(i: int, k: int, z: float, mu, lam, sigma2: float):
-    """Gain at which the cross-argument denominator for rival k hits zero.
-
-    Exists only when mu_k < mu_i; beyond it the rival factor is pinned at 1
-    in corrected mode (and wrongly at 0 in naive mode).  Returns None when
-    the denominator stays positive for every gain.
-    """
-    mu = _coeffs(mu)
-    lam = _coeffs(lam)
-    if mu[k] >= mu[i]:
-        return None
-    return 2.0 * lam[i] * (sigma2 + z) / (mu[i] - mu[k])
+    return v.as_array() if isinstance(v, _Vector) else np.asarray(v, dtype=float)
 
 
 def _clipped_argument(i, k, h_arr, z, mu_arr, lam_arr, sigma2, mode):
@@ -231,24 +192,6 @@ def _clipped_argument(i, k, h_arr, z, mu_arr, lam_arr, sigma2, mode):
     if mode is CdfMode.CORRECTED:
         return np.where(pos, x, np.inf)
     return np.where(pos, x, np.where(den == 0.0, np.inf, 0.0))
-
-
-def cdf_factor(i: int, k: int, h, z: float, mu, lam, channel: ChannelConfig,
-               mode: CdfMode = CdfMode.CORRECTED):
-    """Rival k's CDF factor at user-i gain h: F_k applied to the treated argument."""
-    mu_arr = _coeffs(mu)
-    lam_arr = _coeffs(lam)
-    h_arr = np.asarray(h, dtype=float)
-    arg = _clipped_argument(i, k, h_arr, z, mu_arr, lam_arr, channel.sigma2, mode)
-    out = channel.users[k].fading.cdf(arg)
-    return float(out) if np.ndim(h) == 0 else out
-
-
-def inner_lower_limit(i: int, z: float, mu, lam, sigma2: float) -> float:
-    """Smallest own gain at which user i's marginal utility is positive."""
-    mu = _coeffs(mu)
-    lam = _coeffs(lam)
-    return 2.0 * lam[i] * (sigma2 + z) / mu[i]
 
 
 def _inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,
@@ -382,17 +325,26 @@ def outer_breakpoints(i: int, mu, lam, channel: ChannelConfig, z_top: float) -> 
     return tuple(edges[1:])
 
 
-def outer_truncation(i: int, mu, lam, channel: ChannelConfig,
-                     tail_eps: float = DEFAULT_TAIL_EPS) -> float:
-    """Interference level beyond which user i's win probability is below tail_eps.
+def outer_request(inner, i: int, mu, lam, channel: ChannelConfig, mode: CdfMode,
+                  tol: float, tail_eps: float) -> IntegrationRequest | None:
+    """User i's outer integral of the inner kernel ``inner`` over the interference level.
 
-    The win probability at level z is bounded by the chance that the own gain
-    clears the positivity threshold, so once that threshold passes the
-    1 - tail_eps gain quantile the remaining outer integrand is negligible.
-    Returns 0.0 when the whole integral is already below the tail bound.
+    ``inner`` is ``rate_integrand`` or ``power_integrand``; it runs at tol/10
+    so the composition error stays within the outer budget ``tol``.  The
+    window ends where user i's positivity threshold passes the 1 - tail_eps
+    quantile of its gain: the win probability at level z is bounded by the
+    chance that the own gain clears the threshold, so the rest of the outer
+    integrand is negligible.  Returns None when that window is empty.
     """
-    mu = _coeffs(mu)
-    lam = _coeffs(lam)
+    mu_arr, lam_arr = _coeffs(mu), _coeffs(lam)
     tail_gain = channel.users[i].fading.tail_point(tail_eps)
-    z = mu[i] * tail_gain / (2.0 * lam[i]) - channel.sigma2
-    return max(z, 0.0)
+    z_top = mu_arr[i] * tail_gain / (2.0 * lam_arr[i]) - channel.sigma2
+    if z_top <= 0.0:
+        return None
+    inner_tol = tol / 10.0
+
+    def integrand(z):
+        return inner(i, z, mu, lam, channel, mode, inner_tol, tail_eps)
+
+    return IntegrationRequest(integrand, 0.0, z_top, abs_tol=tol,
+                              breakpoints=outer_breakpoints(i, mu, lam, channel, z_top))

@@ -111,24 +111,24 @@ class IntegrationRequest:
     max_evals: int = 100_000
 
     def __post_init__(self):
-        lower = float(self.lower)
-        upper = float(self.truncation_point)
-        if not (np.isfinite(lower) and np.isfinite(upper)):
+        edges = np.array([self.lower, *self.breakpoints, self.truncation_point], dtype=float)
+        # NaN would read as a batch row's right-hand padding
+        if np.isnan(edges).any():
             raise ValueError("integration window must be finite; truncate the tail first")
-        if upper <= lower:
-            raise ValueError(f"truncation_point {upper} must exceed lower {lower}")
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_evals < _EVALS_PER_RULE:
-            raise ValueError("max_evals must allow at least one rule application")
-        bps = tuple(float(b) for b in self.breakpoints)
-        if any(not lower < b < upper for b in bps):
-            raise ValueError("breakpoints must lie strictly inside the window")
-        if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "truncation_point", upper)
-        object.__setattr__(self, "breakpoints", bps)
+        f = self.integrand
+
+        def integrand(x, rows):
+            flat = x.ravel()
+            fv = np.asarray(f(flat), dtype=float)
+            if fv.shape != flat.shape:
+                raise QuadratureError(_SHAPE_ERROR)
+            return fv.reshape(x.shape)
+
+        batch = BatchRequest(integrand, edges[None], self.abs_tol, self.max_evals)
+        object.__setattr__(self, "lower", float(edges[0]))
+        object.__setattr__(self, "truncation_point", float(edges[-1]))
+        object.__setattr__(self, "breakpoints", tuple(edges[1:-1].tolist()))
+        object.__setattr__(self, "_batch", batch)
 
 
 @dataclass(frozen=True)
@@ -380,20 +380,8 @@ def _integrate_rows(req: BatchRequest, raise_unconverged: bool) -> BatchResult:
 
 
 def _as_batch(req) -> BatchRequest:
-    """``req`` itself, or an ``IntegrationRequest`` as the one row of a batch."""
-    if not isinstance(req, IntegrationRequest):
-        return req
-    f = req.integrand
-
-    def integrand(x, rows):
-        flat = x.ravel()
-        fv = np.asarray(f(flat), dtype=float)
-        if fv.shape != flat.shape:
-            raise QuadratureError(_SHAPE_ERROR)
-        return fv.reshape(x.shape)
-
-    edges = [[req.lower, *req.breakpoints, req.truncation_point]]
-    return BatchRequest(integrand, edges, req.abs_tol, req.max_evals)
+    """``req`` itself, or the one-row batch of an ``IntegrationRequest``."""
+    return req._batch if isinstance(req, IntegrationRequest) else req
 
 
 def integrate(req):

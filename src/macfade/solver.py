@@ -38,11 +38,10 @@ from .kernel import (
     RateAwardVector,
     DEFAULT_OUTER_TOL,
     DEFAULT_TAIL_EPS,
-    outer_breakpoints,
-    outer_truncation,
+    outer_request,
     power_integrand,
 )
-from .quadrature import IntegrationRequest, integrate_or_raise
+from .quadrature import integrate_or_raise
 
 __all__ = ["SolverSettings", "SolverResult", "SolverError", "achieved_power", "solve_lambda"]
 
@@ -67,6 +66,10 @@ class SolverSettings:
             raise ValueError("max_outer_iters must be at least 1")
         if not self.bracket_growth > 1.0:
             raise ValueError("bracket_growth must exceed 1")
+        if not self.quad_abs_tol > 0.0:
+            raise ValueError("quad_abs_tol must be positive")
+        if not 0.0 < self.tail_epsilon < 1.0:
+            raise ValueError("tail_epsilon must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -95,22 +98,11 @@ def achieved_power(i: int, mu, lam, channel: ChannelConfig,
     """Average transmit power user i spends under prices ``lam``.
 
     Outer adaptive integral over the interference level of the inner
-    1/h-weighted kernel; the inner integrals run at tol/10 so the composition
-    error stays within the outer budget.  Each outer rule batch hands all
-    its levels to one batched inner integral.
+    1/h-weighted kernel (see ``kernel.outer_request``).  Each outer rule
+    batch hands all its levels to one batched inner integral.
     """
-    z_top = outer_truncation(i, mu, lam, channel, tail_eps)
-    if z_top <= 0.0:
-        return 0.0
-    inner_tol = tol / 10.0
-
-    def integrand(z):
-        return power_integrand(i, z, mu, lam, channel, mode, inner_tol, tail_eps)
-
-    req = IntegrationRequest(integrand, 0.0, z_top, abs_tol=tol,
-                             breakpoints=outer_breakpoints(i, mu, lam, channel, z_top))
-    result = integrate_or_raise(req)
-    return max(result.value, 0.0)
+    req = outer_request(power_integrand, i, mu, lam, channel, mode, tol, tail_eps)
+    return 0.0 if req is None else max(integrate_or_raise(req).value, 0.0)
 
 
 def _quad_tol(settings: SolverSettings, pbar: float) -> float:
@@ -143,13 +135,12 @@ def solve_lambda(mu, channel: ChannelConfig,
     if len(mu) != m:
         raise ValueError("mu length must match the user count")
 
-    if initial_lambda is not None:
-        values = initial_lambda.lam if isinstance(initial_lambda, LambdaVector) else initial_lambda
-        lam0 = [float(x) for x in values]
-        if len(lam0) != m or any(x <= 0.0 for x in lam0):
-            raise ValueError("initial_lambda must be a positive vector of matching length")
-    else:
+    if initial_lambda is None:
         lam0 = [_cold_price(i, mu, channel) for i in range(m)]
+    else:
+        lam0 = LambdaVector(initial_lambda).lam
+        if len(lam0) != m:
+            raise ValueError("initial_lambda length must match the user count")
 
     pbar = [user.pbar for user in channel.users]
     evals = 0

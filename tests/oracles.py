@@ -14,6 +14,10 @@ merging).  They reuse the package's rule constants and integrand pieces on
 purpose: the batched rows must match them bit for bit, so they must do the
 same arithmetic in the same order, only one integral at a time.
 
+``clip_star``, ``cross_argument``, ``case_boundary`` and ``cdf_factor``
+are the paper's clipping rule one gain at a time, for tests that probe it
+at chosen points; ``cdf_factor`` applies the package's own clipping.
+
 The Monte Carlo allocation has two references of the same kind.  The
 scalar ``winner_partition`` / ``per_state_allocation`` pair partitions one
 state's interference axis at every root and crossing level and awards each
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from macfade.kernel import _clipped_argument, _coeffs
+from macfade.kernel import CdfMode, _clipped_argument, _coeffs
 from macfade.quadrature import (
     _EPS,
     _GAUSS_IDX,
@@ -251,6 +255,66 @@ def per_z_inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,
     result = reference_integrate(integrand, lower, upper, breakpoints, tol, max_evals)
     assert result.converged, (i, z)
     return max(result.value, 0.0)
+
+
+# --- Scalar cross-argument helpers ------------------------------------------
+
+
+def clip_star(x: float) -> float:
+    """Clip a CDF argument: identity for x >= 0, +inf for x < 0.
+
+    The +inf sentinel makes the downstream CDF evaluate to 1 (the rival gain
+    is surely below an unreachable threshold read the other way around).
+    Idempotent by construction.
+    """
+    return x if x >= 0.0 else math.inf
+
+
+def cross_argument(i: int, k: int, h: float, z: float, mu, lam, sigma2: float) -> float:
+    """Argument fed to rival k's CDF when user i holds gain h at level z.
+
+    Positive exactly when the denominator is positive (the numerator always
+    is for h > 0).  An exact denominator zero returns +inf, the limit from
+    below; the event has measure zero and the clipped factor is continuous
+    through it.
+    """
+    mu = _coeffs(mu)
+    lam = _coeffs(lam)
+    a = sigma2 + z
+    num = 2.0 * lam[k] * h * a
+    den = 2.0 * lam[i] * a + (mu[k] - mu[i]) * h
+    if den == 0.0:
+        return math.inf
+    return num / den
+
+
+def case_boundary(i: int, k: int, z: float, mu, lam, sigma2: float):
+    """Gain at which the cross-argument denominator for rival k hits zero.
+
+    Exists only when mu_k < mu_i; beyond it the rival factor is pinned at 1
+    in corrected mode (and wrongly at 0 in naive mode).  Returns None when
+    the denominator stays positive for every gain.
+    """
+    mu = _coeffs(mu)
+    lam = _coeffs(lam)
+    if mu[k] >= mu[i]:
+        return None
+    return 2.0 * lam[i] * (sigma2 + z) / (mu[i] - mu[k])
+
+
+def cdf_factor(i: int, k: int, h, z: float, mu, lam, channel,
+               mode: CdfMode = CdfMode.CORRECTED):
+    """Rival k's CDF factor at user-i gain h: F_k applied to the treated argument.
+
+    The treatment is the package's own ``kernel._clipped_argument``, the one
+    the integrals use.
+    """
+    mu_arr = _coeffs(mu)
+    lam_arr = _coeffs(lam)
+    h_arr = np.asarray(h, dtype=float)
+    arg = _clipped_argument(i, k, h_arr, z, mu_arr, lam_arr, channel.sigma2, mode)
+    out = channel.users[k].fading.cdf(arg)
+    return float(out) if np.ndim(h) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,12 @@ from macfade.kernel import (
     LambdaVector,
     RateAwardVector,
     UserSpec,
-    case_boundary,
-    cdf_factor,
     win_probability,
 )
 from macfade.montecarlo import estimate, estimate_win_probability
 from macfade.solver import SolverSettings, solve_lambda
 
-from oracles import wf_rate, wf_solve_lambda
+from oracles import case_boundary, cdf_factor, wf_rate, wf_solve_lambda
 
 
 def expo_channel(n_users, sigma2=1.0, means=None, pbars=None):

@@ -10,16 +10,12 @@ from macfade.kernel import (
     LambdaVector,
     RateAwardVector,
     UserSpec,
-    case_boundary,
-    cdf_factor,
-    clip_star,
-    cross_argument,
     power_integrand,
     rate_integrand,
     win_probability,
 )
 
-from oracles import exp_integral_e1, simpson
+from oracles import case_boundary, cdf_factor, clip_star, cross_argument, exp_integral_e1, simpson
 
 
 def expo_channel(n_users, sigma2=1.0, means=None, pbars=None):

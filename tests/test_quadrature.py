@@ -105,6 +105,8 @@ def test_non_finite_integrand_raises():
         {"lower": 0.0, "truncation_point": 1.0, "breakpoints": (1.5,)},
         {"lower": 0.0, "truncation_point": 1.0, "breakpoints": (0.8, 0.2)},
         {"lower": 0.0, "truncation_point": 1.0, "max_evals": 3},
+        {"lower": math.nan, "truncation_point": 1.0},
+        {"lower": 0.0, "truncation_point": math.nan, "breakpoints": (0.5,)},
     ],
 )
 def test_request_validation(kwargs):

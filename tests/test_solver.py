@@ -165,6 +165,12 @@ class TestSolveLambda:
         with pytest.raises(ValueError):
             SolverSettings(bracket_growth=1.0)
         with pytest.raises(ValueError):
+            SolverSettings(quad_abs_tol=0.0)
+        with pytest.raises(ValueError):
+            SolverSettings(tail_epsilon=2.0)
+        with pytest.raises(ValueError):
+            SolverSettings(tail_epsilon=0.0)
+        with pytest.raises(ValueError):
             solve_lambda(RateAwardVector((1.0,)), CH2)
         with pytest.raises(ValueError):
             solve_lambda(MU1, CH1, initial_lambda=(-1.0,))
