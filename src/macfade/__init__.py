@@ -33,7 +33,7 @@ from .kernel import (
     win_probability,
 )
 from .montecarlo import McEstimate, estimate, estimate_win_probability
-from .quadrature import IntegrationRequest, IntegrationResult, QuadratureError, integrate
+from .quadrature import QuadratureError
 from .solver import SolverError, SolverResult, SolverSettings, achieved_power, solve_lambda
 
 __version__ = "0.1.0"
@@ -44,8 +44,6 @@ __all__ = [
     "ChannelConfig",
     "ExponentialGain",
     "FadingDistribution",
-    "IntegrationRequest",
-    "IntegrationResult",
     "LambdaVector",
     "McEstimate",
     "ModeComparison",
@@ -61,7 +59,6 @@ __all__ = [
     "compare_modes",
     "estimate",
     "estimate_win_probability",
-    "integrate",
     "power_integrand",
     "rate_integrand",
     "rate_point",

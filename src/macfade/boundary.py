@@ -74,8 +74,8 @@ def _rate_point_detailed(mu, lam, channel, mode, tol, tail_eps):
             errors.append(0.0)
             continue
         result = integrate_or_raise(req)
-        rates.append(max(result.value, 0.0))
-        errors.append(result.error_estimate)
+        rates.append(max(float(result.values[0]), 0.0))
+        errors.append(float(result.error_estimates[0]))
     return tuple(rates), tuple(errors)
 
 
@@ -116,16 +116,18 @@ def simplex_grid(n_users: int, resolution: int, mu_min: float = DEFAULT_MU_MIN) 
 
 
 def sweep(channel: ChannelConfig, mu_grid, settings: SolverSettings | None = None,
-          rate_tol: float = DEFAULT_OUTER_TOL,
-          tail_eps: float = DEFAULT_TAIL_EPS) -> list:
+          rate_tol: float | None = None, tail_eps: float | None = None) -> list:
     """Boundary points for every weight vector in the grid, warm-starting prices.
 
     Per-point failures are recorded in the returned point's status and do not
     stop the sweep.  ``mu_grid`` is a sequence of RateAwardVector (see
-    :func:`simplex_grid`).
+    :func:`simplex_grid`).  Rates are integrated at ``rate_tol`` and
+    ``tail_eps``, by default the settings' ``quad_abs_tol`` and
+    ``tail_epsilon``, which the prices are solved at.
     """
-    if settings is None:
-        settings = SolverSettings()
+    settings = SolverSettings() if settings is None else settings
+    rate_tol = settings.quad_abs_tol if rate_tol is None else rate_tol
+    tail_eps = settings.tail_epsilon if tail_eps is None else tail_eps
     points: list[BoundaryPoint] = []
     solved: list[tuple[np.ndarray, LambdaVector]] = []
     for mu in mu_grid:
@@ -178,11 +180,16 @@ class ModeComparison:
 
 
 def compare_modes(channel: ChannelConfig, mu, settings: SolverSettings | None = None,
-                  rate_tol: float = DEFAULT_OUTER_TOL,
-                  tail_eps: float = DEFAULT_TAIL_EPS) -> ModeComparison:
-    """Quantify the distortion of the naive negative-argument treatment."""
-    if settings is None:
-        settings = SolverSettings()
+                  rate_tol: float | None = None,
+                  tail_eps: float | None = None) -> ModeComparison:
+    """Quantify the distortion of the naive negative-argument treatment.
+
+    ``rate_tol`` and ``tail_eps`` default to the settings' values, as in
+    :func:`sweep`.
+    """
+    settings = SolverSettings() if settings is None else settings
+    rate_tol = settings.quad_abs_tol if rate_tol is None else rate_tol
+    tail_eps = settings.tail_epsilon if tail_eps is None else tail_eps
     if not isinstance(mu, RateAwardVector):
         mu = RateAwardVector(tuple(mu))
 

@@ -17,7 +17,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .boundary import DEFAULT_MU_MIN, compare_modes, rate_point, simplex_grid, sweep
@@ -154,6 +155,45 @@ def _parse_mu(node, path):
     raise ConfigError(f"{path}: expected a weight list or a grid object")
 
 
+def _one_of(*choices):
+    def parse(value, path):
+        if value not in choices:
+            names = [repr(c) for c in choices]
+            raise ConfigError(f"{path}: expected {', '.join(names[:-1])} or {names[-1]}")
+        return value
+    return parse
+
+
+def _as_path(value, path):
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a path string")
+    return value
+
+
+# Every option besides the channel and mu: (section, key, RunConfig field,
+# default, parser), with section None at the top level.  Parsers check the
+# type and the CLI's own ranges; the solver and quadrature ranges are
+# SolverSettings' to check.
+_OPTIONS = (
+    ("solver", "power_rel_tol", "power_rel_tol", SolverSettings.power_rel_tol, _as_float),
+    ("solver", "max_outer_iters", "max_outer_iters", SolverSettings.max_outer_iters, _as_int),
+    ("solver", "bracket_growth", "bracket_growth", SolverSettings.bracket_growth, _as_float),
+    ("quadrature", "outer_abs_tol", "outer_abs_tol", SolverSettings.quad_abs_tol, _as_float),
+    ("quadrature", "tail_epsilon", "tail_epsilon", SolverSettings.tail_epsilon, _as_float),
+    ("mc", "n_samples", "mc_samples", 1_000_000, partial(_as_int, minimum=1)),
+    ("mc", "seed", "mc_seed", 12345, partial(_as_int, minimum=0)),
+    (None, "mode", "mode", "corrected", _one_of("corrected", "naive", "both")),
+    (None, "units", "units", "nats", _one_of("nats", "bits")),
+    (None, "threads", "threads", 1, partial(_as_int, minimum=1)),
+    (None, "output", "output", None, _as_path),
+)
+_SETTINGS_NAMES = {"outer_abs_tol": "quad_abs_tol"}  # RunConfig -> SolverSettings field
+
+
+def _option_path(section, key) -> str:
+    return key if section is None else f"{section}.{key}"
+
+
 def parse_config(data: dict, base_dir: Path) -> RunConfig:
     root = dict(_expect_mapping(data, "config"))
 
@@ -180,58 +220,23 @@ def parse_config(data: dict, base_dir: Path) -> RunConfig:
     if isinstance(mu, RateAwardVector) and len(mu) != channel.n_users:
         raise ConfigError("mu: length must match the number of users")
 
-    solver_node = dict(_expect_mapping(root.pop("solver", {}), "solver"))
-    power_rel_tol = _as_float(solver_node.pop("power_rel_tol", SolverSettings.power_rel_tol),
-                              "solver.power_rel_tol", positive=True)
-    max_outer_iters = _as_int(solver_node.pop("max_outer_iters", SolverSettings.max_outer_iters),
-                              "solver.max_outer_iters", minimum=1)
-    bracket_growth = _as_float(solver_node.pop("bracket_growth", SolverSettings.bracket_growth),
-                               "solver.bracket_growth")
-    if not bracket_growth > 1.0:
-        raise ConfigError("solver.bracket_growth: must exceed 1")
-    _no_leftovers(solver_node, "solver")
-
-    quad_node = dict(_expect_mapping(root.pop("quadrature", {}), "quadrature"))
-    outer_abs_tol = _as_float(quad_node.pop("outer_abs_tol", SolverSettings.quad_abs_tol),
-                              "quadrature.outer_abs_tol", positive=True)
-    tail_epsilon = _as_float(quad_node.pop("tail_epsilon", SolverSettings.tail_epsilon),
-                             "quadrature.tail_epsilon", positive=True)
-    if not tail_epsilon < 1.0:
-        raise ConfigError("quadrature.tail_epsilon: must be below 1")
-    _no_leftovers(quad_node, "quadrature")
-
-    mc_node = dict(_expect_mapping(root.pop("mc", {}), "mc"))
-    mc_samples = _as_int(mc_node.pop("n_samples", 1_000_000), "mc.n_samples", minimum=1)
-    mc_seed = _as_int(mc_node.pop("seed", 12345), "mc.seed", minimum=0)
-    _no_leftovers(mc_node, "mc")
-
-    mode = root.pop("mode", "corrected")
-    if mode not in ("corrected", "naive", "both"):
-        raise ConfigError("mode: expected 'corrected', 'naive' or 'both'")
-    units = root.pop("units", "nats")
-    if units not in ("nats", "bits"):
-        raise ConfigError("units: expected 'nats' or 'bits'")
-    threads = _as_int(root.pop("threads", 1), "threads", minimum=1)
-    output = root.pop("output", None)
-    if output is not None and not isinstance(output, str):
-        raise ConfigError("output: expected a path string")
-    _no_leftovers(root, "config")
-
-    return RunConfig(
-        channel=channel,
-        mu=mu,
-        power_rel_tol=power_rel_tol,
-        max_outer_iters=max_outer_iters,
-        bracket_growth=bracket_growth,
-        outer_abs_tol=outer_abs_tol,
-        tail_epsilon=tail_epsilon,
-        mc_samples=mc_samples,
-        mc_seed=mc_seed,
-        mode=mode,
-        units=units,
-        threads=threads,
-        output=output,
-    )
+    nodes = {None: root}
+    values = {}
+    for section, key, field, default, parse in _OPTIONS:
+        if section not in nodes:
+            nodes[section] = dict(_expect_mapping(root.pop(section, {}), section))
+        values[field] = parse(nodes[section].pop(key, default), _option_path(section, key))
+    for section, node in nodes.items():
+        _no_leftovers(node, section or "config")
+    cfg = RunConfig(channel=channel, mu=mu, **values)
+    try:
+        _solver_settings(cfg, CdfMode.CORRECTED)
+    except ValueError as exc:  # SolverSettings' messages lead with the field's name
+        name, _, reason = str(exc).partition(" ")
+        section, key = next((section, key) for section, key, field, _, _ in _OPTIONS
+                            if _SETTINGS_NAMES.get(field, field) == name)
+        raise ConfigError(f"{_option_path(section, key)}: {reason}") from exc
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -273,33 +278,16 @@ def dump_config(cfg: RunConfig) -> str:
             ],
         },
         "mu": mu_node,
-        "solver": {
-            "power_rel_tol": cfg.power_rel_tol,
-            "max_outer_iters": cfg.max_outer_iters,
-            "bracket_growth": cfg.bracket_growth,
-        },
-        "quadrature": {
-            "outer_abs_tol": cfg.outer_abs_tol,
-            "tail_epsilon": cfg.tail_epsilon,
-        },
-        "mc": {"n_samples": cfg.mc_samples, "seed": cfg.mc_seed},
-        "mode": cfg.mode,
-        "units": cfg.units,
-        "threads": cfg.threads,
-        "output": cfg.output,
     }
+    for section, key, field, _, _ in _OPTIONS:
+        (doc if section is None else doc.setdefault(section, {}))[key] = getattr(cfg, field)
     return json.dumps(doc, indent=2)
 
 
 def _solver_settings(cfg: RunConfig, mode: CdfMode) -> SolverSettings:
-    return SolverSettings(
-        power_rel_tol=cfg.power_rel_tol,
-        max_outer_iters=cfg.max_outer_iters,
-        bracket_growth=cfg.bracket_growth,
-        mode=mode,
-        quad_abs_tol=cfg.outer_abs_tol,
-        tail_epsilon=cfg.tail_epsilon,
-    )
+    return SolverSettings(mode=mode, **{_SETTINGS_NAMES.get(field, field): getattr(cfg, field)
+                                        for section, _, field, _, _ in _OPTIONS
+                                        if section in ("solver", "quadrature")})
 
 
 def _modes(cfg: RunConfig):
@@ -373,8 +361,7 @@ def cmd_boundary(cfg: RunConfig) -> int:
     rows = []
     n_ok = 0
     for mode in _modes(cfg):
-        points = sweep(cfg.channel, grid, _solver_settings(cfg, mode),
-                       rate_tol=cfg.outer_abs_tol, tail_eps=cfg.tail_epsilon)
+        points = sweep(cfg.channel, grid, _solver_settings(cfg, mode))
         for point in points:
             row: list = [mode.value]
             row.extend(point.mu[i] for i in range(m))
@@ -426,9 +413,7 @@ def cmd_verify_mc(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     mu = _require_explicit_mu(cfg)
     scale = _rate_scale(cfg)
-    report = compare_modes(cfg.channel, mu,
-                           _solver_settings(cfg, CdfMode.CORRECTED),
-                           rate_tol=cfg.outer_abs_tol, tail_eps=cfg.tail_epsilon)
+    report = compare_modes(cfg.channel, mu, _solver_settings(cfg, CdfMode.CORRECTED))
     header = ["user", "rate_corrected", "rate_naive_same_lambda",
               "same_lambda_gap_abs", "same_lambda_gap_rel",
               "rate_naive_end_to_end", "end_to_end_gap_abs", "end_to_end_gap_rel"]
@@ -448,11 +433,11 @@ def cmd_compare(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "boundary": cmd_boundary,
-    "verify-mc": cmd_verify_mc,
-    "compare": cmd_compare,
+_COMMANDS = {  # name -> (command, help text)
+    "solve": (cmd_solve, "solve power prices for an explicit weight vector"),
+    "boundary": (cmd_boundary, "sweep a simplex grid into boundary points"),
+    "verify-mc": (cmd_verify_mc, "cross-check analytics against Monte Carlo"),
+    "compare": (cmd_compare, "corrected-vs-naive gap report"),
 }
 
 
@@ -463,12 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "fading channels, with Monte Carlo cross-verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "solve power prices for an explicit weight vector"),
-        ("boundary", "sweep a simplex grid into boundary points"),
-        ("verify-mc", "cross-check analytics against Monte Carlo"),
-        ("compare", "corrected-vs-naive gap report"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
         cmd.add_argument("--output", help="write the CSV here instead of stdout")
@@ -483,22 +463,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    updates = {}
-    if args.output is not None:
-        updates["output"] = args.output
-    if args.mode is not None:
-        updates["mode"] = args.mode
-    if args.units is not None:
-        updates["units"] = args.units
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("threads: must be at least 1")
-        updates["threads"] = args.threads
-    if not updates:
-        return cfg
-    from dataclasses import replace
-
-    return replace(cfg, **updates)
+    """``cfg`` with the top-level options given on the command line, checked alike."""
+    return replace(cfg, **{field: parse(getattr(args, key), key)
+                           for section, key, field, _, parse in _OPTIONS
+                           if section is None and getattr(args, key) is not None})
 
 
 def main(argv=None) -> int:
@@ -513,7 +481,7 @@ def main(argv=None) -> int:
         if args.dump_config:
             print(dump_config(cfg))
             return EXIT_OK
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

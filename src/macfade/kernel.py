@@ -39,13 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fading import FadingDistribution
-from .quadrature import (
-    BatchRequest,
-    IntegrationRequest,
-    dyadic_panel_edges,
-    integrate_or_raise,
-    panel_edges,
-)
+from .quadrature import BatchRequest, dyadic_panel_edges, integrate_or_raise, panel_edges
 
 __all__ = [
     "CdfMode",
@@ -326,25 +320,30 @@ def outer_breakpoints(i: int, mu, lam, channel: ChannelConfig, z_top: float) -> 
 
 
 def outer_request(inner, i: int, mu, lam, channel: ChannelConfig, mode: CdfMode,
-                  tol: float, tail_eps: float) -> IntegrationRequest | None:
+                  tol: float, tail_eps: float) -> BatchRequest | None:
     """User i's outer integral of the inner kernel ``inner`` over the interference level.
 
-    ``inner`` is ``rate_integrand`` or ``power_integrand``; it runs at tol/10
-    so the composition error stays within the outer budget ``tol``.  The
-    window ends where user i's positivity threshold passes the 1 - tail_eps
-    quantile of its gain: the win probability at level z is bounded by the
-    chance that the own gain clears the threshold, so the rest of the outer
-    integrand is negligible.  Returns None when that window is empty.
+    A one-row request whose integrand hands each rule batch of levels to
+    ``inner``, ``rate_integrand`` or ``power_integrand``, which runs at
+    tol/10 so the composition error stays within the outer budget ``tol``.
+    The window ends where user i's positivity threshold passes the
+    1 - tail_eps quantile of its gain: the win probability at level z is
+    bounded by the chance that the own gain clears the threshold, so the
+    rest of the outer integrand is negligible.  Returns None when that
+    window is empty, and raises ValueError when it is not finite (a price
+    of 0 or NaN).
     """
     mu_arr, lam_arr = _coeffs(mu), _coeffs(lam)
     tail_gain = channel.users[i].fading.tail_point(tail_eps)
     z_top = mu_arr[i] * tail_gain / (2.0 * lam_arr[i]) - channel.sigma2
     if z_top <= 0.0:
         return None
+    if not math.isfinite(z_top):  # NaN would read as a row's right-hand padding
+        raise ValueError("integration window must be finite; truncate the tail first")
     inner_tol = tol / 10.0
 
-    def integrand(z):
+    def integrand(z, rows):
         return inner(i, z, mu, lam, channel, mode, inner_tol, tail_eps)
 
-    return IntegrationRequest(integrand, 0.0, z_top, abs_tol=tol,
-                              breakpoints=outer_breakpoints(i, mu, lam, channel, z_top))
+    edges = [0.0, *outer_breakpoints(i, mu, lam, channel, z_top), z_top]
+    return BatchRequest(integrand, [edges], abs_tol=tol)

@@ -7,9 +7,8 @@ error estimate (the leftmost one on ties) is bisected with a nested
 Gauss-Kronrod (7, 15) rule pair until the row's summed error drops below the
 absolute tolerance or the row has spent the evaluation budget.  Rows advance
 in lockstep, so one integrand call evaluates the rule batch of every row
-that still needs work, yet a row's result never depends on the other rows:
-an ``IntegrationRequest`` is simply the one-row case.
-Chopping the infinite tail is the caller's job: pick truncation_point so the
+that still needs work, yet a row's result never depends on the other rows.
+Chopping the infinite tail is the caller's job: pick the truncation point so the
 discarded mass is provably below tolerance (distribution tail quantiles make
 this cheap and rigorous).
 
@@ -28,10 +27,9 @@ import numpy as np
 __all__ = [
     "BatchRequest",
     "BatchResult",
-    "IntegrationRequest",
     "IntegrationResult",
     "QuadratureError",
-    "integrate",
+    "integrate_or_raise",
 ]
 
 
@@ -85,50 +83,6 @@ _WEIGHTS_G = np.array([
 
 _EPS = float(np.finfo(float).eps)
 _EVALS_PER_RULE = 15
-_SHAPE_ERROR = "integrand returned a shape that does not match its input"
-
-
-@dataclass(frozen=True)
-class IntegrationRequest:
-    """One integral to evaluate.
-
-    integrand        maps a float array of abscissae to an array of integrand
-                     values of the same shape; must be finite on the window
-                     except possibly at breakpoints, which are never sampled
-    lower            left endpoint
-    truncation_point right endpoint; must exceed ``lower``
-    breakpoints      strictly increasing interior points where the integrand
-                     may kink or jump; panels never straddle them
-    abs_tol          absolute error target for the whole window
-    max_evals        hard budget of integrand evaluations
-    """
-
-    integrand: Callable
-    lower: float
-    truncation_point: float
-    breakpoints: tuple = ()
-    abs_tol: float = 1e-9
-    max_evals: int = 100_000
-
-    def __post_init__(self):
-        edges = np.array([self.lower, *self.breakpoints, self.truncation_point], dtype=float)
-        # NaN would read as a batch row's right-hand padding
-        if np.isnan(edges).any():
-            raise ValueError("integration window must be finite; truncate the tail first")
-        f = self.integrand
-
-        def integrand(x, rows):
-            flat = x.ravel()
-            fv = np.asarray(f(flat), dtype=float)
-            if fv.shape != flat.shape:
-                raise QuadratureError(_SHAPE_ERROR)
-            return fv.reshape(x.shape)
-
-        batch = BatchRequest(integrand, edges[None], self.abs_tol, self.max_evals)
-        object.__setattr__(self, "lower", float(edges[0]))
-        object.__setattr__(self, "truncation_point", float(edges[-1]))
-        object.__setattr__(self, "breakpoints", tuple(edges[1:-1].tolist()))
-        object.__setattr__(self, "_batch", batch)
 
 
 @dataclass(frozen=True)
@@ -178,6 +132,8 @@ class BatchRequest:
 
 @dataclass(frozen=True)
 class IntegrationResult:
+    """The best estimate of one failed row, as ``QuadratureError.result``."""
+
     value: float
     error_estimate: float
     evals: int
@@ -186,21 +142,16 @@ class IntegrationResult:
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Per-row values, error estimates, evaluation counts and convergence flags."""
+    """Per-row values, error estimates and evaluation counts of converged rows."""
 
     values: np.ndarray
     error_estimates: np.ndarray
     row_evals: np.ndarray
-    converged: np.ndarray
 
     @property
     def evals(self) -> int:
         """Integrand evaluations summed over every row."""
         return int(self.row_evals.sum())
-
-    def row(self, r: int) -> IntegrationResult:
-        return IntegrationResult(float(self.values[r]), float(self.error_estimates[r]),
-                                 int(self.row_evals[r]), bool(self.converged[r]))
 
 
 def _apply_rule_batch(f, lows, highs, rows):
@@ -225,7 +176,7 @@ def _apply_rule_batch(f, lows, highs, rows):
     lines = xs.reshape(len(rows), -1)
     fv = np.asarray(f(lines, rows), dtype=float)
     if fv.shape != lines.shape:
-        raise QuadratureError(_SHAPE_ERROR)
+        raise QuadratureError("integrand returned a shape that does not match its input")
     fv = fv.reshape(xs.shape)
     resk = halfwidths * (fv @ _WEIGHTS_K)
     resabs = halfwidths * (np.abs(fv) @ _WEIGHTS_K)
@@ -254,7 +205,7 @@ def _apply_rule_batch(f, lows, highs, rows):
     return resk, err, bad
 
 
-def _integrate_rows(req: BatchRequest, raise_unconverged: bool) -> BatchResult:
+def integrate_or_raise(req: BatchRequest) -> BatchResult:
     """Refine every row of ``req`` to its tolerance or budget, in lockstep.
 
     The initial panel set of a row (one panel per gap between its edges) is
@@ -263,10 +214,12 @@ def _integrate_rows(req: BatchRequest, raise_unconverged: bool) -> BatchResult:
     within tolerance finish without any per-row Python work.
 
     A row fails when its integrand turns non-finite, or when it ends
-    unconverged and ``raise_unconverged`` is set.  Rows above the lowest
-    failed row then stop refining, and that row's error is raised once the
-    rows below it are done: the error that integrating the rows one by one
-    would stop at, with no row above it bisected more often than it was.
+    unconverged: its budget ran out, or every panel hit float resolution,
+    before its error met the tolerance.  Rows above the lowest failed row
+    then stop refining, and that row's :class:`QuadratureError`, carrying
+    its best estimate, is raised once the rows below it are done: the error
+    that integrating the rows one by one would stop at, with no row above
+    it bisected more often than it was.
     """
     f = req.integrand
     edges = req.edges
@@ -322,11 +275,10 @@ def _integrate_rows(req: BatchRequest, raise_unconverged: bool) -> BatchResult:
             for a, b, v, e in zip(a_b, a_b[1:], vals[g].tolist(), errs[g].tolist()):
                 heapq.heappush(heap, (-e, a, b, v))
             refining[int(group[g])] = [heap, [], sum(-item[0] for item in heap)]
-        if raise_unconverged:
-            ended = ~rest & ~(error <= tol)
-            ended[list(bad)] = False
-            for g in np.flatnonzero(ended).tolist():
-                fail_unconverged(int(group[g]))
+        ended = ~rest & ~(error <= tol)
+        ended[list(bad)] = False
+        for g in np.flatnonzero(ended).tolist():
+            fail_unconverged(int(group[g]))
     if failures:
         prune()
 
@@ -352,7 +304,7 @@ def _integrate_rows(req: BatchRequest, raise_unconverged: bool) -> BatchResult:
                 values[r] = value
                 errors[r] = error
                 del refining[r]
-                if raise_unconverged and not error <= tol:
+                if not error <= tol:
                     fail_unconverged(r)
         if failures:
             prune()
@@ -376,34 +328,7 @@ def _integrate_rows(req: BatchRequest, raise_unconverged: bool) -> BatchResult:
 
     if failures:
         raise failures[min(failures)]
-    return BatchResult(values, errors, evals, errors <= tol)
-
-
-def _as_batch(req) -> BatchRequest:
-    """``req`` itself, or the one-row batch of an ``IntegrationRequest``."""
-    return req._batch if isinstance(req, IntegrationRequest) else req
-
-
-def integrate(req):
-    """Evaluate the request; always returns the best estimate found.
-
-    An ``IntegrationRequest`` gives an ``IntegrationResult``, a
-    ``BatchRequest`` a ``BatchResult``.  ``converged`` is False when the
-    evaluation budget ran out (or every panel hit float resolution) before
-    the error target was met.  A non-finite integrand value raises
-    :class:`QuadratureError` for the lowest row that meets one.
-    """
-    result = _integrate_rows(_as_batch(req), raise_unconverged=False)
-    return result.row(0) if isinstance(req, IntegrationRequest) else result
-
-
-def integrate_or_raise(req):
-    """Like :func:`integrate`, but raises :class:`QuadratureError` on non-convergence.
-
-    The error names the lowest failed row and carries its result.
-    """
-    result = _integrate_rows(_as_batch(req), raise_unconverged=True)
-    return result.row(0) if isinstance(req, IntegrationRequest) else result
+    return BatchResult(values, errors, evals)
 
 
 def dyadic_panel_edges(lower, upper, n_panels: int = 6) -> list:

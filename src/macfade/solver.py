@@ -102,7 +102,7 @@ def achieved_power(i: int, mu, lam, channel: ChannelConfig,
     batch hands all its levels to one batched inner integral.
     """
     req = outer_request(power_integrand, i, mu, lam, channel, mode, tol, tail_eps)
-    return 0.0 if req is None else max(integrate_or_raise(req).value, 0.0)
+    return 0.0 if req is None else max(float(integrate_or_raise(req).values[0]), 0.0)
 
 
 def _quad_tol(settings: SolverSettings, pbar: float) -> float:

@@ -23,10 +23,9 @@ from macfade.kernel import (
 )
 from macfade.quadrature import (
     BatchRequest,
-    IntegrationRequest,
+    IntegrationResult,
     QuadratureError,
     dyadic_panel_edges,
-    integrate,
     integrate_or_raise,
     panel_edges,
 )
@@ -38,6 +37,21 @@ INNER_TOL = 1e-9
 TAIL_EPS = 1e-12
 MAX_EVALS = 100_000
 EMPIRICAL = PiecewiseLinearEmpirical((0.0, 0.4, 1.0, 2.0, 3.5), (0.0, 0.2, 0.55, 0.85, 1.0))
+
+
+def lone(f, lower, upper, breakpoints=(), abs_tol=1e-9, max_evals=100_000):
+    """One window as a one-row request, refined on its own.
+
+    Returns its result, converged or not: an unconverged one is the
+    ``result`` its QuadratureError carries.
+    """
+    req = BatchRequest(f, [[lower, *breakpoints, upper]], abs_tol, max_evals)
+    try:
+        res = integrate_or_raise(req)
+    except QuadratureError as exc:
+        return exc.result
+    return IntegrationResult(float(res.values[0]), float(res.error_estimates[0]),
+                             int(res.row_evals[0]), True)
 
 
 def _channel(*laws):
@@ -169,7 +183,7 @@ class TestFailureAttribution:
         req = BatchRequest(integrand, [[0.0, 1.0], [0.0, 1.0]], abs_tol=1e-6,
                            row_name=lambda r: f"row {r}")
         with pytest.raises(QuadratureError, match=r"^row 1: .*non-finite") as err:
-            integrate(req)
+            integrate_or_raise(req)
         assert err.value.result.evals == 15
         assert not err.value.result.converged
 
@@ -188,24 +202,34 @@ class TestBatchRequest:
         width = max(len(bps) for _, bps, _ in self.WINDOWS) + 2
         edges = [[lo, *bps, hi] + [math.nan] * (width - len(bps) - 2)
                  for lo, bps, hi in self.WINDOWS]
-        batch = integrate(BatchRequest(lambda x, r: f(x), edges, tol, budget))
-        lone = [integrate(IntegrationRequest(f, lo, hi, bps, tol, budget))
-                for lo, bps, hi in self.WINDOWS]
+        req = BatchRequest(lambda x, r: f(x), edges, tol, budget)
+        alone = [lone(lambda x, r: f(x), lo, hi, bps, tol, budget)
+                 for lo, bps, hi in self.WINDOWS]
         reference = [reference_integrate(f, lo, hi, bps, tol, budget)
                      for lo, bps, hi in self.WINDOWS]
-        assert [batch.row(r) for r in range(len(self.WINDOWS))] == lone == reference
-        assert batch.evals == sum(res.evals for res in lone)
-        assert all(res.converged for res in lone) == (budget > 135)
+        assert alone == reference
+        assert all(res.converged for res in alone) == (budget > 135)
+        if budget > 135:
+            batch = integrate_or_raise(req)
+            assert [IntegrationResult(float(batch.values[r]), float(batch.error_estimates[r]),
+                                      int(batch.row_evals[r]), True)
+                    for r in range(len(self.WINDOWS))] == alone
+            assert batch.evals == sum(res.evals for res in alone)
+        else:  # the batch stops at the lowest unconverged row, with its lone result
+            with pytest.raises(QuadratureError) as err:
+                integrate_or_raise(req)
+            assert err.value.result == next(res for res in alone if not res.converged)
 
     def test_unconverged_row_raises_first_failure(self):
         # row 0 integrates x, row 1 a needle 45 evaluations cannot resolve
         f = lambda x, rows: np.where(rows[:, None] == 1, 1.0 / (1e-6 + (x - 0.613) ** 2), x)
         req = BatchRequest(f, [[0.0, 1.0], [0.0, 1.0]], abs_tol=1e-12, max_evals=45,
                            row_name=lambda r: f"row {r}")
-        assert integrate(req).converged.tolist() == [True, False]
         with pytest.raises(QuadratureError, match="^row 1: quadrature did not converge") as err:
             integrate_or_raise(req)
-        assert err.value.result == integrate(req).row(1)
+        # each row on its own: a lone request's only row is row 0
+        assert err.value.result == lone(lambda x, rows: f(x, rows + 1), 0.0, 1.0, (), 1e-12, 45)
+        assert lone(f, 0.0, 1.0, (), 1e-12, 45).converged
 
     def test_rows_above_a_failure_stop_refining(self):
         # Row 1 has 20 initial panels, so its needle exhausts the shared
@@ -223,12 +247,11 @@ class TestBatchRequest:
                  [0.0, 1.0] + [math.nan] * 19, [0.0, 1.0] + [math.nan] * 19]
         req = BatchRequest(integrand, edges, abs_tol=1e-12, max_evals=budget,
                            row_name=lambda r: f"row {r}")
-        assert integrate(req).row_evals.tolist() == [15, budget, 345, 345]
-        counts[:] = 0
         with pytest.raises(QuadratureError, match="^row 1: quadrature did not converge") as err:
             integrate_or_raise(req)
         assert counts.tolist() == [15, budget, 15 + 2 * 30, 15 + 2 * 30]
-        assert err.value.result == integrate(req).row(1)
+        assert err.value.result == lone(lambda x, rows: needle(x), 0.0, 1.0,
+                                        tuple(edges[1][1:-1]), 1e-12, budget)
 
     # row 1 ends unconverged; row 2 meets its pole at its first rule (0.5 is
     # the centre node of [0, 1]) or at its first bisection (0.25)
@@ -243,8 +266,6 @@ class TestBatchRequest:
                            abs_tol=1e-12, max_evals=105, row_name=lambda r: f"row {r}")
         with pytest.raises(QuadratureError, match="^row 1: quadrature did not converge"):
             integrate_or_raise(req)
-        with pytest.raises(QuadratureError, match=rf"^row 2: .*non-finite value at x={pole}"):
-            integrate(req)
 
     @pytest.mark.parametrize("edges", [
         [[0.0, math.nan, 1.0]],

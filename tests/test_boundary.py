@@ -9,9 +9,9 @@ from macfade.boundary import (
     simplex_grid,
     sweep,
 )
-from macfade.fading import ExponentialGain
+from macfade.fading import ExponentialGain, UniformGain
 from macfade.kernel import CdfMode, ChannelConfig, LambdaVector, RateAwardVector, UserSpec
-from macfade.solver import SolverSettings, solve_lambda
+from macfade.solver import SolverSettings, achieved_power, solve_lambda
 
 from oracles import wf_rate, wf_solve_lambda
 
@@ -169,3 +169,41 @@ class TestCompareModes:
         report = compare_modes(CH1, RateAwardVector((1.0,)), FAST)
         assert abs(report.same_lambda_gap_abs[0]) <= 1e-8
         assert abs(report.end_to_end_gap_abs[0]) <= 1e-5
+
+
+class TestRateSettings:
+    """Rates are integrated at the tolerance and tail the prices are solved at."""
+
+    CHANNEL = ChannelConfig(1.0, (UserSpec(ExponentialGain(1.0), 1.0),
+                                  UserSpec(UniformGain(0.3, 2.5), 1.0)))
+    MU = RateAwardVector((0.6, 0.4))
+    # loose enough that the rates differ from those at the library defaults
+    LOOSE = SolverSettings(power_rel_tol=1e-5, quad_abs_tol=1e-4, tail_epsilon=1e-3)
+
+    def _rates_at_settings(self, lam, mode):
+        return rate_point(self.MU, lam, self.CHANNEL, mode,
+                          self.LOOSE.quad_abs_tol, self.LOOSE.tail_epsilon)
+
+    def test_sweep(self):
+        (point,) = sweep(self.CHANNEL, [self.MU], self.LOOSE)
+        assert point.ok
+        assert point.rates == self._rates_at_settings(point.lam, CdfMode.CORRECTED)
+        assert point.rates != rate_point(self.MU, point.lam, self.CHANNEL)
+
+    def test_compare_modes(self):
+        report = compare_modes(self.CHANNEL, self.MU, self.LOOSE)
+        assert report.rates_corrected == self._rates_at_settings(report.lam_corrected,
+                                                                 CdfMode.CORRECTED)
+        assert report.rates_naive_end_to_end == self._rates_at_settings(report.lam_naive,
+                                                                        CdfMode.NAIVE_ZERO)
+
+
+@pytest.mark.parametrize("lam", [[math.nan, 0.1], [0.0, 0.1]])
+def test_unbounded_or_nan_window_raises(lam):
+    """A price of 0 or NaN puts user 0's outer window end at inf or NaN."""
+    mu = RateAwardVector((0.6, 0.4))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            rate_point(mu, lam, CH2)
+        with pytest.raises(ValueError, match="finite"):
+            achieved_power(0, mu, lam, CH2)

@@ -102,6 +102,10 @@ class TestConfigParsing:
         ({"mc": {"n_samples": 0}}, "mc.n_samples"),
         ({"solver": {"power_rel_tol": -1.0}}, "solver.power_rel_tol"),
         ({"solver": {"unexpected": 1}}, "solver.unexpected"),
+        ({"solver": {"bracket_growth": 1.0}}, "^solver.bracket_growth: must exceed 1$"),
+        ({"solver": {"max_outer_iters": 0}}, "^solver.max_outer_iters: must be at least 1$"),
+        ({"quadrature": {"outer_abs_tol": 0.0}}, "^quadrature.outer_abs_tol: must be positive$"),
+        ({"quadrature": {"tail_epsilon": 1.0}}, "^quadrature.tail_epsilon: must be in "),
     ])
     def test_malformed_configs_name_the_field(self, tmp_path, overrides, needle):
         with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
@@ -148,6 +152,10 @@ class TestExitCodes:
     def test_solver_non_convergence_exits_2(self, tmp_path):
         path = write_config(tmp_path, {"solver": {"max_outer_iters": 1}})
         assert main(["solve", "--config", path]) == 2
+
+    def test_bad_thread_override_is_config_error(self, tmp_path, capsys):
+        assert main(["solve", "--config", write_config(tmp_path), "--threads", "0"]) == 1
+        assert "threads: must be at least 1" in capsys.readouterr().err
 
     def test_usage_error_remapped_to_config_error(self, capsys):
         assert main(["solve"]) == 1  # missing --config
