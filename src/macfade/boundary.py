@@ -10,6 +10,7 @@ end to end.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -101,17 +102,11 @@ def simplex_grid(n_users: int, resolution: int, mu_min: float = DEFAULT_MU_MIN) 
     if 1.0 / resolution < mu_min:
         raise ValueError("grid resolution puts weights below the mu_min margin")
 
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compositions(total - first, parts - 1):
-                yield (first, *rest)
-
+    # stars and bars: the k_i are the gaps between n_users - 1 cuts in 1..resolution-1
     return [
-        RateAwardVector(tuple(k / resolution for k in combo))
-        for combo in compositions(resolution, n_users)
+        RateAwardVector(tuple((b - a) / resolution
+                              for a, b in zip((0, *cuts), (*cuts, resolution))))
+        for cuts in itertools.combinations(range(1, resolution), n_users - 1)
     ]
 
 
@@ -120,19 +115,17 @@ def sweep(channel: ChannelConfig, mu_grid, settings: SolverSettings | None = Non
     """Boundary points for every weight vector in the grid, warm-starting prices.
 
     Per-point failures are recorded in the returned point's status and do not
-    stop the sweep.  ``mu_grid`` is a sequence of RateAwardVector (see
-    :func:`simplex_grid`).  Rates are integrated at ``rate_tol`` and
-    ``tail_eps``, by default the settings' ``quad_abs_tol`` and
-    ``tail_epsilon``, which the prices are solved at.
+    stop the sweep.  ``mu_grid`` is a sequence of weight vectors (see
+    :func:`simplex_grid`), each checked against the channel.  Rates are
+    integrated at ``rate_tol`` and ``tail_eps``, by default the settings'
+    ``quad_abs_tol`` and ``tail_epsilon``, which the prices are solved at.
     """
     settings = SolverSettings() if settings is None else settings
     rate_tol = settings.quad_abs_tol if rate_tol is None else rate_tol
     tail_eps = settings.tail_epsilon if tail_eps is None else tail_eps
     points: list[BoundaryPoint] = []
     solved: list[tuple[np.ndarray, LambdaVector]] = []
-    for mu in mu_grid:
-        if not isinstance(mu, RateAwardVector):
-            mu = RateAwardVector(tuple(mu))
+    for mu in map(channel.weights, mu_grid):
         warm = None
         if solved:
             target = mu.as_array()
@@ -190,8 +183,7 @@ def compare_modes(channel: ChannelConfig, mu, settings: SolverSettings | None = 
     settings = SolverSettings() if settings is None else settings
     rate_tol = settings.quad_abs_tol if rate_tol is None else rate_tol
     tail_eps = settings.tail_epsilon if tail_eps is None else tail_eps
-    if not isinstance(mu, RateAwardVector):
-        mu = RateAwardVector(tuple(mu))
+    mu = channel.weights(mu)
 
     corrected = solve_lambda(mu, channel,
                              replace(settings, mode=CdfMode.CORRECTED))

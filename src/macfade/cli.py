@@ -107,21 +107,26 @@ def _as_int(value, path, minimum=None):
     return value
 
 
+def _build(path, make, *args):
+    """``make(*args)``: a library type, whose range checks are reported against ``path``."""
+    try:
+        return make(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _parse_fading(node, path, base_dir: Path):
     node = dict(_expect_mapping(node, path))
     kind = _take(node, "kind", path)
     if kind == "exponential":
-        mean = _as_float(_take(node, "mean", path), f"{path}.mean", positive=True)
+        mean = _as_float(_take(node, "mean", path), f"{path}.mean")
         _no_leftovers(node, path)
-        return ExponentialGain(mean)
+        return _build(f"{path}.mean", ExponentialGain, mean)
     if kind == "uniform":
         low = _as_float(_take(node, "low", path), f"{path}.low")
         high = _as_float(_take(node, "high", path), f"{path}.high")
         _no_leftovers(node, path)
-        try:
-            return UniformGain(low, high)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        return _build(path, UniformGain, low, high)
     if kind == "empirical":
         knots = node.pop("knots", None)
         csv_path = node.pop("csv", None)
@@ -140,12 +145,9 @@ def _parse_fading(node, path, base_dir: Path):
     raise ConfigError(f"{path}.kind: unknown fading kind {kind!r}")
 
 
-def _parse_mu(node, path):
+def _parse_mu(node, path, channel: ChannelConfig):
     if isinstance(node, list):
-        try:
-            return RateAwardVector(tuple(float(x) for x in node))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        return _build(path, channel.weights, node)
     if isinstance(node, dict):
         node = dict(node)
         resolution = _as_int(_take(node, "resolution", path), f"{path}.resolution", minimum=1)
@@ -198,7 +200,7 @@ def parse_config(data: dict, base_dir: Path) -> RunConfig:
     root = dict(_expect_mapping(data, "config"))
 
     channel_node = dict(_expect_mapping(_take(root, "channel", "config"), "channel"))
-    sigma2 = _as_float(_take(channel_node, "sigma2", "channel"), "channel.sigma2", positive=True)
+    sigma2 = _as_float(_take(channel_node, "sigma2", "channel"), "channel.sigma2")
     users_node = _take(channel_node, "users", "channel")
     _no_leftovers(channel_node, "channel")
     if not isinstance(users_node, list) or not users_node:
@@ -208,17 +210,11 @@ def parse_config(data: dict, base_dir: Path) -> RunConfig:
         upath = f"channel.users[{idx}]"
         user_node = dict(_expect_mapping(user_node, upath))
         fading = _parse_fading(_take(user_node, "fading", upath), f"{upath}.fading", base_dir)
-        pbar = _as_float(_take(user_node, "pbar", upath), f"{upath}.pbar", positive=True)
+        pbar = _as_float(_take(user_node, "pbar", upath), f"{upath}.pbar")
         _no_leftovers(user_node, upath)
-        users.append(UserSpec(fading, pbar))
-    try:
-        channel = ChannelConfig(sigma2, tuple(users))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"channel: {exc}") from exc
-
-    mu = _parse_mu(_take(root, "mu", "config"), "mu")
-    if isinstance(mu, RateAwardVector) and len(mu) != channel.n_users:
-        raise ConfigError("mu: length must match the number of users")
+        users.append(_build(f"{upath}.pbar", UserSpec, fading, pbar))
+    channel = _build("channel.sigma2", ChannelConfig, sigma2, tuple(users))
+    mu = _parse_mu(_take(root, "mu", "config"), "mu", channel)
 
     nodes = {None: root}
     values = {}

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fading import FadingDistribution
-from .quadrature import BatchRequest, dyadic_panel_edges, integrate_or_raise, panel_edges
+from .quadrature import BatchRequest, integrate_or_raise, panel_edges
 
 __all__ = [
     "CdfMode",
@@ -86,7 +86,11 @@ class UserSpec:
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Receiver noise variance plus the per-user fading laws and power budgets."""
+    """Receiver noise variance plus the per-user fading laws and power budgets.
+
+    Every library call that takes weights or prices checks them here, with
+    :meth:`weights` and :meth:`prices`.
+    """
 
     sigma2: float
     users: tuple
@@ -109,6 +113,20 @@ class ChannelConfig:
     @property
     def pbars(self) -> tuple:
         return tuple(u.pbar for u in self.users)
+
+    def weights(self, mu) -> "RateAwardVector":
+        """``mu`` checked as this channel's weight vector, built from a sequence if need be."""
+        return self._vector(RateAwardVector, mu)
+
+    def prices(self, lam) -> "LambdaVector":
+        """``lam`` checked as this channel's price vector, built from a sequence if need be."""
+        return self._vector(LambdaVector, lam)
+
+    def _vector(self, kind, values):
+        vector = values if isinstance(values, kind) else kind(tuple(values))
+        if len(vector) != self.n_users:
+            raise ValueError(f"{kind._field} has {len(vector)} entries for {self.n_users} users")
+        return vector
 
 
 class _Vector:
@@ -166,10 +184,6 @@ class LambdaVector(_Vector):
             raise ValueError("every power price must be positive and finite")
 
 
-def _coeffs(v) -> np.ndarray:
-    return v.as_array() if isinstance(v, _Vector) else np.asarray(v, dtype=float)
-
-
 def _clipped_argument(i, k, h_arr, z, mu_arr, lam_arr, sigma2, mode):
     """Vectorized cross-argument with mode-specific treatment of negatives.
 
@@ -188,7 +202,7 @@ def _clipped_argument(i, k, h_arr, z, mu_arr, lam_arr, sigma2, mode):
     return np.where(pos, x, np.where(den == 0.0, np.inf, 0.0))
 
 
-def _inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,
+def _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps,
                     power_weight, max_evals, quantity):
     """Common inner h-integral for the win probability and the power kernel.
 
@@ -197,6 +211,7 @@ def _inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,
     each refined on its own.  Returns a float for a scalar ``z``, else an
     array shaped like ``z``.
     """
+    mu_arr, lam_arr = channel.weights(mu).as_array(), channel.prices(lam).as_array()
     sigma2 = channel.sigma2
     dist_i = channel.users[i].fading
     z_arr = np.asarray(z, dtype=float)
@@ -258,7 +273,7 @@ def win_probability(i: int, z, mu, lam, channel: ChannelConfig,
     an array of levels (array result); ``tol`` and ``max_evals`` apply to
     each level on its own.
     """
-    return _inner_integral(i, z, _coeffs(mu), _coeffs(lam), channel, mode, tol, tail_eps,
+    return _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps,
                            power_weight=False, max_evals=max_evals,
                            quantity="win probability")
 
@@ -269,7 +284,7 @@ def rate_integrand(i: int, z, mu, lam, channel: ChannelConfig,
                    tail_eps: float = DEFAULT_TAIL_EPS,
                    max_evals: int = 100_000):
     """Win probability weighted by the rate-per-received-power factor 1/(2(sigma2+z))."""
-    p = _inner_integral(i, z, _coeffs(mu), _coeffs(lam), channel, mode, tol, tail_eps,
+    p = _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps,
                         power_weight=False, max_evals=max_evals, quantity="rate")
     return p / (2.0 * (channel.sigma2 + z))
 
@@ -280,7 +295,7 @@ def power_integrand(i: int, z, mu, lam, channel: ChannelConfig,
                     tail_eps: float = DEFAULT_TAIL_EPS,
                     max_evals: int = 100_000):
     """Same inner integral as the win probability with the transmit-power weight 1/h."""
-    return _inner_integral(i, z, _coeffs(mu), _coeffs(lam), channel, mode, tol, tail_eps,
+    return _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps,
                            power_weight=True, max_evals=max_evals, quantity="power")
 
 
@@ -301,22 +316,17 @@ def outer_breakpoints(i: int, mu, lam, channel: ChannelConfig, z_top: float) -> 
     There are as many of these as kinks.  The crossings of rival-kink
     preimages with own kinks (own kinks times rival kinks of them) are left
     to adaptive refinement: with empirical laws of a hundred knots each they
-    cost more panels than the bisections they save.  A level is dropped
-    when it lies outside the window or within 1e-12*z_top of the edge
-    before it.
+    cost more panels than the bisections they save.  Levels are merged with
+    the dyadic edges by the inner integral's rule, ``quadrature.panel_edges``.
     """
-    mu_l, lam_l = _coeffs(mu).tolist(), _coeffs(lam).tolist()
-    levels = [mu_l[j] * c / (2.0 * lam_l[j])
+    mu, lam = channel.weights(mu), channel.prices(lam)
+    levels = [mu[j] * c / (2.0 * lam[j])
               for j in range(channel.n_users) for c in channel.users[j].fading.kinks()]
-    levels += [c * (mu_l[i] - mu_l[k]) / (2.0 * lam_l[i])
-               for k in range(channel.n_users) if mu_l[k] < mu_l[i]
+    levels += [c * (mu[i] - mu[k]) / (2.0 * lam[i])
+               for k in range(channel.n_users) if mu[k] < mu[i]
                for c in channel.users[i].fading.kinks()]
-    gap = 1e-12 * z_top
-    edges = [0.0]
-    for z in sorted([*dyadic_panel_edges(0.0, z_top), *(a - channel.sigma2 for a in levels)]):
-        if z - edges[-1] > gap and z_top - z > gap:
-            edges.append(z)
-    return tuple(edges[1:])
+    row = panel_edges(np.zeros(1), z_top, np.reshape(levels, (-1, 1)) - channel.sigma2)[0]
+    return tuple(row[~np.isnan(row)][1:-1].tolist())
 
 
 def outer_request(inner, i: int, mu, lam, channel: ChannelConfig, mode: CdfMode,
@@ -330,16 +340,13 @@ def outer_request(inner, i: int, mu, lam, channel: ChannelConfig, mode: CdfMode,
     1 - tail_eps quantile of its gain: the win probability at level z is
     bounded by the chance that the own gain clears the threshold, so the
     rest of the outer integrand is negligible.  Returns None when that
-    window is empty, and raises ValueError when it is not finite (a price
-    of 0 or NaN).
+    window is empty.
     """
-    mu_arr, lam_arr = _coeffs(mu), _coeffs(lam)
+    mu, lam = channel.weights(mu), channel.prices(lam)
     tail_gain = channel.users[i].fading.tail_point(tail_eps)
-    z_top = mu_arr[i] * tail_gain / (2.0 * lam_arr[i]) - channel.sigma2
+    z_top = mu[i] * tail_gain / (2.0 * lam[i]) - channel.sigma2
     if z_top <= 0.0:
         return None
-    if not math.isfinite(z_top):  # NaN would read as a row's right-hand padding
-        raise ValueError("integration window must be finite; truncate the tail first")
     inner_tol = tol / 10.0
 
     def integrand(z, rows):

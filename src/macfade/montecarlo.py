@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ChannelConfig, _coeffs
+from .kernel import ChannelConfig
 
 __all__ = [
     "McEstimate",
@@ -214,8 +214,7 @@ def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
 
     Estimates are bit-identical for any thread count.
     """
-    mu_arr = _coeffs(mu)
-    lam_arr = _coeffs(lam)
+    mu_arr, lam_arr = channel.weights(mu).as_array(), channel.prices(lam).as_array()
     sigma2 = channel.sigma2
     m = channel.n_users
 
@@ -262,8 +261,7 @@ def estimate_win_probability(channel: ChannelConfig, i: int, z: float, mu, lam,
     """Fraction of states where user i strictly wins with positive utility at z."""
     if not z >= 0.0:
         raise ValueError("z must be nonnegative")
-    mu_arr = _coeffs(mu)
-    lam_arr = _coeffs(lam)
+    mu_arr, lam_arr = channel.weights(mu).as_array(), channel.prices(lam).as_array()
     sigma2 = channel.sigma2
     rivals = [k for k in range(channel.n_users) if k != i]
 

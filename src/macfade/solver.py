@@ -35,7 +35,6 @@ from .kernel import (
     CdfMode,
     ChannelConfig,
     LambdaVector,
-    RateAwardVector,
     DEFAULT_OUTER_TOL,
     DEFAULT_TAIL_EPS,
     outer_request,
@@ -129,18 +128,12 @@ def solve_lambda(mu, channel: ChannelConfig,
     """
     if settings is None:
         settings = SolverSettings()
-    if not isinstance(mu, RateAwardVector):
-        mu = RateAwardVector(tuple(mu))
+    mu = channel.weights(mu)
     m = channel.n_users
-    if len(mu) != m:
-        raise ValueError("mu length must match the user count")
-
     if initial_lambda is None:
         lam0 = [_cold_price(i, mu, channel) for i in range(m)]
     else:
-        lam0 = LambdaVector(initial_lambda).lam
-        if len(lam0) != m:
-            raise ValueError("initial_lambda length must match the user count")
+        lam0 = channel.prices(initial_lambda).lam
 
     pbar = [user.pbar for user in channel.users]
     evals = 0

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from macfade.kernel import CdfMode, _clipped_argument, _coeffs
+from macfade.kernel import CdfMode, _clipped_argument
 from macfade.quadrature import (
     _EPS,
     _GAUSS_IDX,
@@ -52,6 +52,10 @@ from macfade.quadrature import (
     IntegrationResult,
     dyadic_panel_edges,
 )
+
+
+def _coeffs(v) -> np.ndarray:
+    return v.as_array() if hasattr(v, "as_array") else np.asarray(v, dtype=float)
 
 
 def simpson(f, a, b, n=20001):

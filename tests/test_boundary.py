@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -91,6 +92,14 @@ class TestSimplexGrid:
         grid = simplex_grid(1, 1)
         assert len(grid) == 1
         assert grid[0].mu == (1.0,)
+
+    @pytest.mark.parametrize("n_users", [1, 2, 3, 4])
+    def test_matches_an_independent_enumeration_in_order(self, n_users):
+        for resolution in range(n_users, 11):
+            lattice = sorted(k for k in itertools.product(range(1, resolution + 1), repeat=n_users)
+                             if sum(k) == resolution)
+            assert [mu.mu for mu in simplex_grid(n_users, resolution)] == [
+                tuple(k_i / resolution for k_i in k) for k in lattice]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -111,6 +111,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
             load_config(write_config(tmp_path, overrides))
 
+    @pytest.mark.parametrize("sigma2, user, prefix", [
+        (1.0, {"fading": {"kind": "exponential", "mean": math.inf}, "pbar": 1.0},
+         "channel.users[0].fading.mean: "),
+        (1.0, {"fading": {"kind": "exponential", "mean": 1.0}, "pbar": math.inf},
+         "channel.users[0].pbar: "),
+        (math.inf, {"fading": {"kind": "exponential", "mean": 1.0}, "pbar": 1.0},
+         "channel.sigma2: "),
+    ])
+    def test_library_range_checks_name_the_field(self, tmp_path, capsys, sigma2, user, prefix):
+        path = write_config(tmp_path, {"channel": {"sigma2": sigma2, "users": [user]},
+                                       "mu": [1.0]})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value).startswith(prefix)
+        assert main(["solve", "--config", path]) == 1
+        assert capsys.readouterr().err == f"config error: {err.value}\n"
+
     def test_missing_sigma2_named(self, tmp_path):
         doc = json.loads(json.dumps(BASE_CONFIG))
         del doc["channel"]["sigma2"]
