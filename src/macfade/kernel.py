@@ -23,7 +23,7 @@ window, panel edges (the dyadic seeding edges plus every case boundary,
 own kink and rival-kink preimage that falls inside the window) and
 adaptive refinement, so each entry equals the one-level call bit for bit.
 ``outer_request`` sets up the outer integrals: each rule batch of levels
-goes to one such call, and the z-range splits at ``outer_breakpoints``,
+goes to one such call, and the z-range splits, by the same edge rule, at
 the levels where a user's positivity threshold or a case boundary
 reaches a kink.
 
@@ -50,7 +50,6 @@ __all__ = [
     "win_probability",
     "rate_integrand",
     "power_integrand",
-    "outer_breakpoints",
     "outer_request",
     "DEFAULT_INNER_TOL",
     "DEFAULT_OUTER_TOL",
@@ -299,36 +298,6 @@ def power_integrand(i: int, z, mu, lam, channel: ChannelConfig,
                            power_weight=True, max_evals=max_evals, quantity="power")
 
 
-def outer_breakpoints(i: int, mu, lam, channel: ChannelConfig, z_top: float) -> tuple:
-    """Interior edges of user i's outer integral over z in (0, z_top).
-
-    The dyadic seeding edges, plus the levels where a kink of the gain
-    integrand meets a moving cut of the inner integral, so that the inner
-    integral as a function of z is smooth on every panel:
-
-    - a user's positivity threshold reaches one of that user's own kinks,
-      z = mu_j*c/(2*lam_j) - sigma2.  For j = i the kink leaves user i's
-      window; for a rival, user i's threshold meets the preimage of the
-      rival's kink there.
-    - a case boundary of user i reaches one of user i's own kinks,
-      z = c*(mu_i - mu_k)/(2*lam_i) - sigma2.
-
-    There are as many of these as kinks.  The crossings of rival-kink
-    preimages with own kinks (own kinks times rival kinks of them) are left
-    to adaptive refinement: with empirical laws of a hundred knots each they
-    cost more panels than the bisections they save.  Levels are merged with
-    the dyadic edges by the inner integral's rule, ``quadrature.panel_edges``.
-    """
-    mu, lam = channel.weights(mu), channel.prices(lam)
-    levels = [mu[j] * c / (2.0 * lam[j])
-              for j in range(channel.n_users) for c in channel.users[j].fading.kinks()]
-    levels += [c * (mu[i] - mu[k]) / (2.0 * lam[i])
-               for k in range(channel.n_users) if mu[k] < mu[i]
-               for c in channel.users[i].fading.kinks()]
-    row = panel_edges(np.zeros(1), z_top, np.reshape(levels, (-1, 1)) - channel.sigma2)[0]
-    return tuple(row[~np.isnan(row)][1:-1].tolist())
-
-
 def outer_request(inner, i: int, mu, lam, channel: ChannelConfig, mode: CdfMode,
                   tol: float, tail_eps: float) -> BatchRequest | None:
     """User i's outer integral of the inner kernel ``inner`` over the interference level.
@@ -347,10 +316,31 @@ def outer_request(inner, i: int, mu, lam, channel: ChannelConfig, mode: CdfMode,
     z_top = mu[i] * tail_gain / (2.0 * lam[i]) - channel.sigma2
     if z_top <= 0.0:
         return None
+    if math.isinf(z_top):
+        raise ValueError(f"integration window must be finite; user {i}'s price "
+                         f"{lam[i]!r} puts its end at inf")
     inner_tol = tol / 10.0
 
     def integrand(z, rows):
         return inner(i, z, mu, lam, channel, mode, inner_tol, tail_eps)
 
-    edges = [0.0, *outer_breakpoints(i, mu, lam, channel, z_top), z_top]
-    return BatchRequest(integrand, [edges], abs_tol=tol)
+    # Besides the dyadic seeding edges, split at the levels where a kink of
+    # the gain integrand meets a moving cut of the inner integral, so that
+    # the inner integral is smooth in z on every panel:
+    # - a user's positivity threshold reaches one of its own kinks,
+    #   z = mu_j*c/(2*lam_j) - sigma2.  For j = i the kink leaves user i's
+    #   window; for a rival, user i's threshold meets the preimage of the
+    #   rival's kink there.
+    # - a case boundary of user i reaches one of user i's own kinks,
+    #   z = c*(mu_i - mu_k)/(2*lam_i) - sigma2.
+    # There are as many of these as kinks.  The crossings of rival-kink
+    # preimages with own kinks (own kinks times rival kinks of them) are left
+    # to adaptive refinement: with empirical laws of a hundred knots each
+    # they cost more panels than the bisections they save.
+    levels = [mu[j] * c / (2.0 * lam[j])
+              for j in range(channel.n_users) for c in channel.users[j].fading.kinks()]
+    levels += [c * (mu[i] - mu[k]) / (2.0 * lam[i])
+               for k in range(channel.n_users) if mu[k] < mu[i]
+               for c in channel.users[i].fading.kinks()]
+    edges = panel_edges(np.zeros(1), z_top, np.reshape(levels, (-1, 1)) - channel.sigma2)
+    return BatchRequest(integrand, edges, abs_tol=tol)

@@ -331,8 +331,8 @@ def integrate_or_raise(req: BatchRequest) -> BatchResult:
     return BatchResult(values, errors, evals)
 
 
-def dyadic_panel_edges(lower, upper, n_panels: int = 6) -> list:
-    """Interior edges giving panels of dyadically growing width from ``lower``.
+def dyadic_panel_edges(lower, upper) -> list:
+    """Interior edges giving six panels of dyadically growing width from ``lower``.
 
     Integrands here decay away from the lower limit, so packing narrow panels
     there lets most panels converge on the first rule application instead of
@@ -340,9 +340,8 @@ def dyadic_panel_edges(lower, upper, n_panels: int = 6) -> list:
     only the refinement path (breakpoint-insensitivity property).  Works
     elementwise when ``lower`` is an array of per-row limits.
     """
-    span = upper - lower
-    scale = span / (2.0 ** n_panels - 1.0)
-    return [lower + scale * (2.0 ** k - 1.0) for k in range(1, n_panels)]
+    scale = (upper - lower) / 63.0
+    return [lower + scale * (2.0 ** k - 1.0) for k in range(1, 6)]
 
 
 def panel_edges(lower: np.ndarray, upper: float, cuts) -> np.ndarray:
@@ -356,11 +355,20 @@ def panel_edges(lower: np.ndarray, upper: float, cuts) -> np.ndarray:
     """
     lower = np.asarray(lower, dtype=float)
     cand = np.sort(np.stack([*dyadic_panel_edges(lower, upper), *cuts], axis=1), axis=1)
-    gap = (1e-12 * (upper - lower))[:, None]
-    keep = (lower[:, None] < cand) & (cand < upper) & ~(upper - cand <= gap)
+    gap = 1e-12 * (upper - lower)
+    keep = (lower[:, None] < cand) & (cand < upper) & ~(upper - cand <= gap[:, None])
+    # The last kept edge before a candidate is at most the candidate before
+    # it, so only a candidate within the gap of its predecessor can be
+    # dropped, and that predecessor is kept or was itself such a candidate.
+    # Scanning just those columns, in order, with the last kept edge
+    # refreshed from the column to the left, applies the sequential rule.
+    # Out-of-window candidates (infinite cuts among them) enter the
+    # differences as NaN, so no inf - inf is formed.
+    inside = np.where(keep, cand, np.nan)
+    near = inside[:, 1:] - inside[:, :-1] <= gap[:, None]
     last = np.full(lower.shape, np.nan)
-    for j in range(cand.shape[1]):
-        keep[:, j] &= ~(cand[:, j] - last <= gap[:, 0])
-        last = np.where(keep[:, j], cand[:, j], last)
+    for j in np.flatnonzero(near.any(axis=0)) + 1:
+        last = np.where(keep[:, j - 1], cand[:, j - 1], last)
+        keep[:, j] &= ~(cand[:, j] - last <= gap)
     inner = np.where(keep, cand, np.nan)
     return np.sort(np.column_stack([lower, inner, np.full(lower.shape, upper)]), axis=1)

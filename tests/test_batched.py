@@ -6,6 +6,7 @@ for bit, what one call per level gives and what the per-level reference in
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,10 +287,19 @@ class TestBatchRequest:
         near = [lower + 1e-13 * span, upper - 1e-13 * span,
                 rng.uniform(-5.0, 30.0, size=200)]
         near.append(near[2] + rng.choice([0.0, 1e-13, 1e-6], size=200) * span)
-        rows = panel_edges(lower, upper, near)
-        for r in range(len(lower)):
-            lo = float(lower[r])
-            cand = dyadic_panel_edges(lo, upper) + [float(c[r]) for c in near]
-            expected = [lo, *merge_edges(cand, lo, upper), upper]
-            got = rows[r][~np.isnan(rows[r])].tolist()
-            assert got == expected
+        # each 0.6 gap above the last: the first and third are kept, which a
+        # gap to the previous candidate, kept or not, would not give
+        chain = [lower + 0.3 * span + f * 1e-12 * span for f in (0.0, 0.6, 1.2)]
+        infinite = [*near, np.full(lower.shape, np.inf)]
+        for cuts in (near, chain, infinite):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = panel_edges(lower, upper, cuts)
+            for r in range(len(lower)):
+                lo = float(lower[r])
+                cand = dyadic_panel_edges(lo, upper) + [float(c[r]) for c in cuts]
+                expected = [lo, *merge_edges(cand, lo, upper), upper]
+                got = rows[r][~np.isnan(rows[r])].tolist()
+                assert got == expected
+            if cuts is chain:
+                assert (np.count_nonzero(~np.isnan(rows), axis=1) == 2 + 5 + 2).all()

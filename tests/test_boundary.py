@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,10 +210,21 @@ class TestRateSettings:
 
 @pytest.mark.parametrize("lam", [[math.nan, 0.1], [0.0, 0.1]])
 def test_unbounded_or_nan_window_raises(lam):
-    """A price of 0 or NaN puts user 0's outer window end at inf or NaN."""
+    """A price of 0 or NaN is refused by the price check before any window is built."""
     mu = RateAwardVector((0.6, 0.4))
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="finite"):
             rate_point(mu, lam, CH2)
         with pytest.raises(ValueError, match="finite"):
             achieved_power(0, mu, lam, CH2)
+
+
+def test_window_overflowing_to_inf_raises_without_a_warning():
+    """A positive price so small that user 0's window end overflows to inf is
+    refused before any panel edge is computed from it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="integration window must be finite"):
+            achieved_power(0, (0.6, 0.4), [1e-320, 0.1], TestRateSettings.CHANNEL)
+        with pytest.raises(ValueError, match="integration window must be finite"):
+            rate_point((0.6, 0.4), [1e-320, 0.1], TestRateSettings.CHANNEL)

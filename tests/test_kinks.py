@@ -19,7 +19,8 @@ from macfade.kernel import (
     LambdaVector,
     RateAwardVector,
     UserSpec,
-    outer_breakpoints,
+    outer_request,
+    power_integrand,
 )
 from macfade.montecarlo import estimate
 from macfade.quadrature import dyadic_panel_edges
@@ -114,22 +115,28 @@ def _z_top(i, channel):
     return MU[i] * channel.users[i].fading.tail_point(1e-12) / (2.0 * LAM[i]) - SIGMA2
 
 
+def _outer_edges(i, mu, lam, channel):
+    """Interior edges of user i's outer power integral, tail at 1e-12 as in ``_z_top``."""
+    row = outer_request(power_integrand, i, mu, lam, channel, CdfMode.CORRECTED, 1e-8, 1e-12).edges[0]
+    return tuple(row[~np.isnan(row)][1:-1].tolist())
+
+
 def test_outer_edges_add_only_threshold_and_case_boundary_crossings():
     mu, lam = RateAwardVector(MU), LambdaVector(LAM)
     exp2 = _channel(ExponentialGain(1.0), ExponentialGain(2.0))
     for i in range(2):
         z_top = _z_top(i, exp2)
-        assert outer_breakpoints(i, mu, lam, exp2, z_top) == tuple(dyadic_panel_edges(0.0, z_top))
+        assert _outer_edges(i, mu, lam, exp2) == tuple(dyadic_panel_edges(0.0, z_top))
     # the rival's threshold reaches its lower edge 0.3 at a negative level
     # and its upper edge 2.5 here, inside user 0's window
     crossing = MU[1] * HIGH / (2.0 * LAM[1]) - SIGMA2
-    edges = outer_breakpoints(0, mu, lam, MIXED, _z_top(0, MIXED))
+    edges = _outer_edges(0, mu, lam, MIXED)
     assert min(abs(z - crossing) for z in edges) < 1e-12
     # with the weights swapped, user 1's case boundary reaches its upper edge
     swapped = RateAwardVector(MU[::-1])
     z_top = MU[0] * HIGH / (2.0 * LAM[1]) - SIGMA2
     crossing = HIGH * (MU[0] - MU[1]) / (2.0 * LAM[1]) - SIGMA2
-    edges = outer_breakpoints(1, swapped, lam, MIXED, z_top)
+    edges = _outer_edges(1, swapped, lam, MIXED)
     assert 0.0 < crossing < z_top
     assert min(abs(z - crossing) for z in edges) < 1e-12
 
@@ -144,7 +151,7 @@ def test_outer_edges_grow_linearly_with_the_knots():
     mu, lam = RateAwardVector(MU), LambdaVector(LAM)
     for i in range(2):
         z_top = _z_top(i, channel)
-        edges = outer_breakpoints(i, mu, lam, channel, z_top)
+        edges = _outer_edges(i, mu, lam, channel)
         assert len(dyadic_panel_edges(0.0, z_top)) < len(edges) <= 5 + 3 * 100
         assert all(0.0 < a < b < z_top for a, b in zip(edges, edges[1:]))
 

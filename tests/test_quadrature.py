@@ -138,7 +138,7 @@ def test_converged_implies_error_within_tolerance():
 
 
 def test_dyadic_edges_and_merge():
-    edges = dyadic_panel_edges(1.0, 64.0, n_panels=6)
+    edges = dyadic_panel_edges(1.0, 64.0)
     assert len(edges) == 5
     assert all(1.0 < e < 64.0 for e in edges)
     assert edges == sorted(edges)
