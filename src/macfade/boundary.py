@@ -27,7 +27,7 @@ from .kernel import (
     rate_integrand,
 )
 from .quadrature import QuadratureError, integrate_or_raise
-from .solver import SolverError, SolverSettings, solve_lambda
+from .solver import SolverError, SolverResult, SolverSettings, solve_lambda
 
 __all__ = [
     "BoundaryPoint",
@@ -114,6 +114,9 @@ def sweep(channel: ChannelConfig, mu_grid, settings: SolverSettings | None = Non
           rate_tol: float | None = None, tail_eps: float | None = None) -> list:
     """Boundary points for every weight vector in the grid, warm-starting prices.
 
+    Each point after the first starts from the nearest solved point's final
+    Jacobian (re-measured only as :func:`solve_lambda` says) and its prices
+    scaled user by user by mu_new / mu_old, keeping each own threshold put.
     Per-point failures are recorded in the returned point's status and do not
     stop the sweep.  ``mu_grid`` is a sequence of weight vectors (see
     :func:`simplex_grid`), each checked against the channel.  Rates are
@@ -124,22 +127,23 @@ def sweep(channel: ChannelConfig, mu_grid, settings: SolverSettings | None = Non
     rate_tol = settings.quad_abs_tol if rate_tol is None else rate_tol
     tail_eps = settings.tail_epsilon if tail_eps is None else tail_eps
     points: list[BoundaryPoint] = []
-    solved: list[tuple[np.ndarray, LambdaVector]] = []
+    solved: list[tuple[np.ndarray, SolverResult]] = []
     for mu in map(channel.weights, mu_grid):
-        warm = None
+        target = mu.as_array()
+        warm = jac = None
         if solved:
-            target = mu.as_array()
-            nearest = min(solved, key=lambda item: float(np.sum((item[0] - target) ** 2)))
-            warm = nearest[1]
+            near_mu, near = min(solved, key=lambda item: float(np.sum((item[0] - target) ** 2)))
+            warm, jac = near.lam.as_array() * (target / near_mu), near.jacobian
         try:
-            solution = solve_lambda(mu, channel, settings, initial_lambda=warm)
+            solution = solve_lambda(mu, channel, settings, initial_lambda=warm,
+                                    initial_jacobian=jac)
             rates, errors = _rate_point_detailed(mu, solution.lam, channel,
                                                  settings.mode, rate_tol, tail_eps)
         except (SolverError, QuadratureError) as exc:
             points.append(BoundaryPoint(mu, None, None, None, settings.mode,
                                         None, status=f"error: {exc}"))
             continue
-        solved.append((mu.as_array(), solution.lam))
+        solved.append((target, solution))
         diag = PointDiagnostics(
             rate_quad_errors=errors,
             solver_sweeps=solution.sweeps,

@@ -487,7 +487,7 @@ def main(argv=None) -> int:
             print(f"last residuals: {exc.residuals}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except QuadratureError as exc:
-        print(f"quadrature did not converge: {exc}", file=sys.stderr)
+        print(f"quadrature error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
 

@@ -343,4 +343,6 @@ def outer_request(inner, i: int, mu, lam, channel: ChannelConfig, mode: CdfMode,
                for k in range(channel.n_users) if mu[k] < mu[i]
                for c in channel.users[i].fading.kinks()]
     edges = panel_edges(np.zeros(1), z_top, np.reshape(levels, (-1, 1)) - channel.sigma2)
-    return BatchRequest(integrand, edges, abs_tol=tol)
+    quantity = inner.__name__.removesuffix("_integrand")
+    return BatchRequest(integrand, edges, abs_tol=tol, row_name=lambda r: (
+        f"outer {quantity} integral of user {i} over z at lam={lam.lam!r}"))

@@ -357,18 +357,21 @@ def panel_edges(lower: np.ndarray, upper: float, cuts) -> np.ndarray:
     cand = np.sort(np.stack([*dyadic_panel_edges(lower, upper), *cuts], axis=1), axis=1)
     gap = 1e-12 * (upper - lower)
     keep = (lower[:, None] < cand) & (cand < upper) & ~(upper - cand <= gap[:, None])
-    # The last kept edge before a candidate is at most the candidate before
-    # it, so only a candidate within the gap of its predecessor can be
-    # dropped, and that predecessor is kept or was itself such a candidate.
-    # Scanning just those columns, in order, with the last kept edge
-    # refreshed from the column to the left, applies the sequential rule.
-    # Out-of-window candidates (infinite cuts among them) enter the
-    # differences as NaN, so no inf - inf is formed.
+    # Only a candidate near (within the gap of) its predecessor can be
+    # dropped.  If the predecessor is not near its own, it is kept, so the
+    # candidate goes.  Chains of three or more keep their head and drop
+    # their second; the rest are scanned in order, the last kept edge taken
+    # from the two columns to the left.  Out-of-window candidates (infinite
+    # cuts among them) enter the differences as NaN: no inf - inf is formed.
     inside = np.where(keep, cand, np.nan)
-    near = inside[:, 1:] - inside[:, :-1] <= gap[:, None]
+    near = inside[:, 1:] - inside[:, :-1] <= gap[:, None]  # of columns 1, 2, ...
+    chain = near[:, 1:] & near[:, :-1]                       # of columns 2, 3, ...
+    keep[:, 1:] &= ~near
+    keep[:, 2:] |= chain
     last = np.full(lower.shape, np.nan)
-    for j in np.flatnonzero(near.any(axis=0)) + 1:
+    for j in np.flatnonzero(chain.any(axis=0)) + 2:
+        last = np.where(keep[:, j - 2], cand[:, j - 2], last)
         last = np.where(keep[:, j - 1], cand[:, j - 1], last)
-        keep[:, j] &= ~(cand[:, j] - last <= gap)
+        keep[:, j] &= ~(chain[:, j - 2] & (cand[:, j] - last <= gap))
     inner = np.where(keep, cand, np.nan)
     return np.sort(np.column_stack([lower, inner, np.full(lower.shape, upper)]), axis=1)

@@ -7,11 +7,11 @@ Tse-Hanly price structure), so one damped quasi-Newton solve finds it in
 both CDF modes:
 
 - the Jacobian starts as a forward difference (step 1e-4 in x, full
-  quadrature tolerance) and takes a Broyden rank-one update after every
-  accepted step;
+  quadrature tolerance) or as a neighbouring solve's final matrix, and
+  takes a Broyden rank-one update after every accepted step;
 - each step is capped so no price moves by more than ``bracket_growth``,
-  and halved until the largest residual falls; a line search that fails
-  on an updated Jacobian is retried once on a fresh forward difference;
+  and halved until the largest residual falls; a line search failing on an
+  updated or carried Jacobian is retried once on a fresh forward difference;
 - a starved user, spending under 1% of its budget, lowers its own price by
   the full ``bracket_growth`` factor.  Its Jacobian row is zero (power
   exactly 0, r = -1) or too small to difference, so such steps skip the
@@ -23,6 +23,11 @@ quadrature tolerance, is inside 0.95 ``power_rel_tol``; the returned
 solution is then re-verified at a tenfold tighter tolerance.  Quadrature
 tolerances scale with each user's power budget so tiny budgets stay
 resolvable.
+
+Scaling every weight and price by one factor changes no achieved power
+(Tse & Hanly, IEEE Trans. IT 44(7), 1998): the prices are homogeneous of
+degree 1 in the weights, which ``boundary.sweep`` scales a neighbour's by,
+and the log-price Jacobian ``SolverResult.jacobian`` is scale-free.
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ class SolverResult:
     certified_residuals: tuple  # re-verified with quadrature tightened tenfold
     sweeps: int                 # Newton steps taken
     power_evals: int
+    jacobian: tuple | None = None  # final d r / d log(lam) as row tuples; None if none was live
 
 
 class SolverError(RuntimeError):
@@ -119,12 +125,14 @@ def _cold_price(i, mu, channel):
 
 def solve_lambda(mu, channel: ChannelConfig,
                  settings: SolverSettings | None = None,
-                 initial_lambda=None) -> SolverResult:
+                 initial_lambda=None, initial_jacobian=None) -> SolverResult:
     """Solve for the unique price vector meeting every average power budget.
 
     Damped Newton-Broyden steps in log price; convergence is declared only
     when every residual is inside tolerance at full quadrature precision.
-    Pass ``initial_lambda`` to warm-start from a neighboring solution.
+    Pass ``initial_lambda`` and ``initial_jacobian`` (m x m, d r / d log lam)
+    to warm-start from a neighbour's solution; the forward difference is
+    then taken only when a line search fails or a starved user revives.
     """
     if settings is None:
         settings = SolverSettings()
@@ -134,6 +142,10 @@ def solve_lambda(mu, channel: ChannelConfig,
         lam0 = [_cold_price(i, mu, channel) for i in range(m)]
     else:
         lam0 = channel.prices(initial_lambda).lam
+    # measured lazily, and again whenever a starved user revives
+    jac = None if initial_jacobian is None else np.array(initial_jacobian, dtype=float)
+    if jac is not None and (jac.shape != (m, m) or not np.isfinite(jac).all()):
+        raise ValueError(f"initial_jacobian must be a finite {m} x {m} matrix")
 
     pbar = [user.pbar for user in channel.users]
     evals = 0
@@ -168,7 +180,6 @@ def solve_lambda(mu, channel: ChannelConfig,
     rtol = 0.95 * settings.power_rel_tol
     x = np.log(lam0)
     r = residuals(x)
-    jac = None     # measured lazily, and again whenever a starved user revives
     fresh = False  # jac is a forward difference with no Broyden update since
     steps = 0
     while np.max(np.abs(r)) > rtol:
@@ -207,6 +218,7 @@ def solve_lambda(mu, channel: ChannelConfig,
         certified_residuals=tuple((a - p) / p for a, p in zip(achieved, pbar)),
         sweeps=steps,
         power_evals=evals,
+        jacobian=None if jac is None else tuple(map(tuple, jac.tolist())),
     )
 
 

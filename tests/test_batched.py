@@ -303,3 +303,37 @@ class TestBatchRequest:
                 assert got == expected
             if cuts is chain:
                 assert (np.count_nonzero(~np.isnan(rows), axis=1) == 2 + 5 + 2).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_panel_edges_random_chains_match_scalar_merge(self, seed):
+        # Rows mix isolated near pairs, chains of three to five candidates
+        # spaced a random fraction of the gap apart, cuts on a dyadic edge,
+        # and infinite cuts, each in a different column from row to row.
+        rng = np.random.default_rng(seed)
+        n = 300
+        lower = rng.uniform(0.0, 5.0, size=n)
+        upper = 20.0
+        span = upper - lower
+        dyadic = np.stack(dyadic_panel_edges(lower, upper), axis=1)
+        cuts = []
+        for _ in range(3):
+            head = rng.uniform(-2.0, 22.0, size=n)
+            head = np.where(rng.random(n) < 0.2, dyadic[np.arange(n), rng.integers(0, 5, n)],
+                            head)
+            cuts.append(np.where(rng.random(n) < 0.1, np.inf, head))
+            offset = np.zeros(n)
+            for _ in range(rng.integers(1, 5)):
+                offset = offset + rng.uniform(0.2, 1.1, size=n) * 1e-12 * span
+                cuts.append(np.where(rng.random(n) < 0.7, head + offset, np.inf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = panel_edges(lower, upper, cuts)
+        dropped = 0
+        for r in range(n):
+            lo = float(lower[r])
+            cand = dyadic_panel_edges(lo, upper) + [float(c[r]) for c in cuts]
+            expected = [lo, *merge_edges(cand, lo, upper), upper]
+            got = rows[r][~np.isnan(rows[r])].tolist()
+            assert got == expected
+            dropped += sum(lo < c < upper for c in cand) - len(expected) + 2
+        assert dropped > n  # the gap rule was exercised, not just the window

@@ -148,6 +148,19 @@ class TestSweep:
             assert p.rates[0] == pytest.approx(q.rates[1], abs=2e-5)
             assert p.rates[1] == pytest.approx(q.rates[0], abs=2e-5)
 
+    def test_acceptance_4_sweeps_stay_within_power_integral_bounds(self):
+        # The acceptance-4 grids, warm-started from weight-scaled prices and
+        # the neighbour's Jacobian: 92 and 311 power integrals when pinned.
+        for channel, grid, bound in [
+            (CH2, simplex_grid(2, 10), 120),
+            (expo_channel(3, means=[0.5, 1.0, 2.0]), simplex_grid(3, 7), 400),
+        ]:
+            points = sweep(channel, grid)
+            assert all(p.ok for p in points)
+            assert sum(p.diagnostics.solver_power_evals for p in points) <= bound
+            for p in points:
+                assert max(map(abs, p.diagnostics.certified_residuals)) <= 1e-6
+
     def test_failed_point_recorded_not_raised(self):
         settings = SolverSettings(power_rel_tol=1e-5, max_outer_iters=1)
         points = sweep(CH2, simplex_grid(2, 4), settings)

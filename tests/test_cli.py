@@ -170,6 +170,19 @@ class TestExitCodes:
         path = write_config(tmp_path, {"solver": {"max_outer_iters": 1}})
         assert main(["solve", "--config", path]) == 2
 
+    def test_quadrature_failure_names_its_layer_once(self, tmp_path, capsys):
+        # Two narrow uniform laws at the default tolerances: the cold solve
+        # reaches prices whose outer power window is about 1e6 long, and
+        # that outer integral spends its budget above tolerance.
+        uniform = [{"fading": {"kind": "uniform", "low": lo, "high": hi}, "pbar": 1.0}
+                   for lo, hi in ((1.0, 1.001), (0.999, 1.0))]
+        path = write_config(tmp_path, {"channel": {"sigma2": 1.0, "users": uniform},
+                                       "mu": [0.5, 0.5], "solver": None, "quadrature": None})
+        assert main(["solve", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("did not converge") == 1
+        assert "outer power integral of user 1 over z at lam=(" in err
+
     def test_bad_thread_override_is_config_error(self, tmp_path, capsys):
         assert main(["solve", "--config", write_config(tmp_path), "--threads", "0"]) == 1
         assert "threads: must be at least 1" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from macfade.kernel import (
     LambdaVector,
     RateAwardVector,
     UserSpec,
+    outer_request,
     power_integrand,
     rate_integrand,
     win_probability,
@@ -243,3 +244,12 @@ class TestTypeValidation:
                                     UserSpec(ExponentialGain(1.0), 2.0)))
         assert mixed.n_users == 2
         assert mixed.pbars == (0.5, 2.0)
+
+
+@pytest.mark.parametrize("inner, quantity", [(power_integrand, "power"),
+                                             (rate_integrand, "rate")])
+def test_outer_request_names_its_row(inner, quantity):
+    lam = LambdaVector((0.2, 0.3))
+    req = outer_request(inner, 1, RateAwardVector((0.6, 0.4)), lam, CH2,
+                        CdfMode.CORRECTED, 1e-8, 1e-12)
+    assert req.prefix(0) == f"outer {quantity} integral of user 1 over z at lam={lam.lam!r}: "

@@ -157,6 +157,42 @@ class TestSolveLambda:
         for res in warm.certified_residuals:
             assert abs(res) <= 1e-6
 
+    def test_result_carries_a_square_jacobian_or_none(self):
+        mu = RateAwardVector((0.7, 0.3))
+        solved = solve_lambda(mu, CH2)
+        jac = solved.jacobian
+        assert isinstance(jac, tuple) and len(jac) == 2
+        assert all(isinstance(row, tuple) and len(row) == 2 for row in jac)
+        assert all(math.isfinite(x) for row in jac for x in row)
+        # no Newton step, so no matrix was measured
+        again = solve_lambda(mu, CH2, initial_lambda=solved.lam)
+        assert again.sweeps == 0 and again.jacobian is None
+        single = solve_lambda(MU1, CH1).jacobian
+        assert len(single) == 1 and len(single[0]) == 1
+
+    @pytest.mark.parametrize("jac", [
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [1.0, 1.0],
+        [[-1.0, 0.1], [0.1, math.nan]],
+        [[-1.0, math.inf], [0.1, -1.0]],
+    ])
+    def test_initial_jacobian_must_be_finite_and_square(self, jac):
+        with pytest.raises(ValueError, match="initial_jacobian"):
+            solve_lambda(RateAwardVector((0.7, 0.3)), CH2, initial_jacobian=jac)
+
+    def test_negated_carried_jacobian_falls_back_to_a_forward_difference(self):
+        neighbour = solve_lambda(RateAwardVector((0.6, 0.4)), CH2)
+        mu = RateAwardVector((0.7, 0.3))
+        wrong = -np.array(neighbour.jacobian)
+        result = solve_lambda(mu, CH2, initial_lambda=neighbour.lam, initial_jacobian=wrong)
+        # own-price entries are negative again: the matrix was measured afresh
+        assert result.jacobian[0][0] < 0.0 and result.jacobian[1][1] < 0.0
+        for res in result.certified_residuals:
+            assert abs(res) <= 1e-6
+        reference = solve_lambda(mu, CH2)
+        for x, y in zip(result.lam.lam, reference.lam.lam):
+            assert abs(x - y) / y <= 10.0 * 1e-6
+
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             SolverSettings(power_rel_tol=0.0)
