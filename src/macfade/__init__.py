@@ -28,11 +28,9 @@ from .kernel import (
     LambdaVector,
     RateAwardVector,
     UserSpec,
-    power_integrand,
-    rate_integrand,
     win_probability,
 )
-from .montecarlo import McEstimate, estimate, estimate_win_probability
+from .montecarlo import McEstimate, estimate
 from .quadrature import QuadratureError
 from .solver import SolverError, SolverResult, SolverSettings, achieved_power, solve_lambda
 
@@ -58,9 +56,6 @@ __all__ = [
     "achieved_power",
     "compare_modes",
     "estimate",
-    "estimate_win_probability",
-    "power_integrand",
-    "rate_integrand",
     "rate_point",
     "simplex_grid",
     "solve_lambda",

@@ -75,7 +75,7 @@ def _rate_point_detailed(mu, lam, channel, mode, tol, tail_eps):
             errors.append(0.0)
             continue
         result = integrate_or_raise(req)
-        rates.append(max(float(result.values[0]), 0.0))
+        rates.append(float(result.values[0]))
         errors.append(float(result.error_estimates[0]))
     return tuple(rates), tuple(errors)
 

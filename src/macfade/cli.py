@@ -287,9 +287,7 @@ def _solver_settings(cfg: RunConfig, mode: CdfMode) -> SolverSettings:
 
 
 def _modes(cfg: RunConfig):
-    if cfg.mode == "both":
-        return [CdfMode.CORRECTED, CdfMode.NAIVE_ZERO]
-    return [CdfMode.CORRECTED if cfg.mode == "corrected" else CdfMode.NAIVE_ZERO]
+    return list(CdfMode) if cfg.mode == "both" else [CdfMode(cfg.mode)]
 
 
 def _rate_scale(cfg: RunConfig) -> float:

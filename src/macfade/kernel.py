@@ -252,7 +252,7 @@ def _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps,
             row_name=lambda r: f"{quantity} of user {i} at z={float(z_live[r])!r}",
         )
         result = integrate_or_raise(req)
-        out[live] = np.maximum(result.values, 0.0)
+        out[live] = result.values
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 

@@ -1,4 +1,4 @@
-"""Independent Monte Carlo oracle for rates, powers, and win probabilities.
+"""Independent Monte Carlo oracle for per-user rates and transmit powers.
 
 For each joint fading draw the interference axis z >= 0 is awarded slab by
 slab to the user whose marginal utility
@@ -35,7 +35,6 @@ partials are added in chunk order.
 
 from __future__ import annotations
 
-import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -48,7 +47,6 @@ __all__ = [
     "CHUNK_SIZE",
     "state_chunk",
     "estimate",
-    "estimate_win_probability",
 ]
 
 CHUNK_SIZE = 4096
@@ -162,30 +160,41 @@ def _allocate_chunk(gains: np.ndarray, mu_arr: np.ndarray, lam_arr: np.ndarray,
     return rates.T, powers.T
 
 
-def _chunk_sum(channel: ChannelConfig, seed: int, n_samples: int, threads: int,
-               task_sums):
-    """Sum of the run's per-chunk partials, added in chunk order.
+def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
+             threads: int = 1) -> McEstimate:
+    """Sample means and standard errors of per-user rates and transmit powers.
 
-    ``task_sums(draws, rows, count)`` receives an iterator over the gains
-    of one task's ``count`` consecutive chunks, ``rows`` states each, and
-    returns the task's partials in chunk order: one per chunk, or one for
-    the task where any grouping adds up exactly.  A task holds as many full
-    chunks as fit ``TASK_BYTES`` of r, r^2, p and p^2; the partial final
-    chunk is a task of its own.  The thread count changes scheduling only,
-    so the sum is bit-identical for any value.
+    Estimates are bit-identical for any thread count.
     """
+    mu_arr, lam_arr = channel.weights(mu).as_array(), channel.prices(lam).as_array()
+    sigma2 = channel.sigma2
+    m = channel.n_users
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    per_task = max(1, TASK_BYTES // (CHUNK_SIZE * 4 * channel.n_users * 8))
+    per_task = max(1, TASK_BYTES // (CHUNK_SIZE * 4 * m * 8))
     full, rest = divmod(n_samples, CHUNK_SIZE)
     tasks = [range(j, min(j + per_task, full)) for j in range(0, full, per_task)]
     if rest:
         tasks.append(range(full, full + 1))
 
     def run(chunks):
+        # The sum order of the module docstring: np.sum over axis 0 adds the
+        # rows of a (rows, count, 4m) buffer in sequence.  With one user each
+        # column is kept contiguous instead, and numpy sums it pairwise.
         rows = min(CHUNK_SIZE, n_samples - chunks.start * CHUNK_SIZE)
-        draws = (state_chunk(channel, seed, j)[:rows] for j in chunks)
-        return task_sums(draws, rows, len(chunks))
+        count = len(chunks)
+        if m == 1:
+            buf = np.empty((count, 4, rows)).transpose(2, 0, 1)
+        else:
+            buf = np.empty((rows, count, 4 * m))
+        block = np.empty((4, m, rows))  # r, r^2, p, p^2 of one chunk, user-major
+        for k, j in enumerate(chunks):
+            gains = state_chunk(channel, seed, j)[:rows]
+            _allocate_chunk(gains, mu_arr, lam_arr, sigma2, out=block)
+            np.multiply(block[0], block[0], out=block[1])
+            np.multiply(block[2], block[2], out=block[3])
+            buf[:, k] = block.reshape(4 * m, rows).T
+        return np.sum(buf, axis=0).reshape(count, 4, m)
 
     # Worker w runs every workers-th task from task w.  The calling thread is
     # worker 0, so a run holds one thread's working memory fewer than a pool
@@ -201,40 +210,11 @@ def _chunk_sum(channel: ChannelConfig, seed: int, n_samples: int, threads: int,
             shares = [share(0)] + [future.result() for future in futures]
     else:
         shares = [share(0)]
-    total = 0
+    total = 0  # the per-chunk partials, added in chunk order
     for t in range(len(tasks)):
         for part in shares[t % workers][t // workers]:
             total = total + part
-    return total
-
-
-def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
-             threads: int = 1) -> McEstimate:
-    """Sample means and standard errors of per-user rates and transmit powers.
-
-    Estimates are bit-identical for any thread count.
-    """
-    mu_arr, lam_arr = channel.weights(mu).as_array(), channel.prices(lam).as_array()
-    sigma2 = channel.sigma2
-    m = channel.n_users
-
-    def sums(draws, rows, count):
-        # The sum order of the module docstring: np.sum over axis 0 adds the
-        # rows of a (rows, count, 4m) buffer in sequence.  With one user each
-        # column is kept contiguous instead, and numpy sums it pairwise.
-        if m == 1:
-            buf = np.empty((count, 4, rows)).transpose(2, 0, 1)
-        else:
-            buf = np.empty((rows, count, 4 * m))
-        block = np.empty((4, m, rows))  # r, r^2, p, p^2 of one chunk, user-major
-        for k, gains in enumerate(draws):
-            _allocate_chunk(gains, mu_arr, lam_arr, sigma2, out=block)
-            np.multiply(block[0], block[0], out=block[1])
-            np.multiply(block[2], block[2], out=block[3])
-            buf[:, k] = block.reshape(4 * m, rows).T
-        return np.sum(buf, axis=0).reshape(count, 4, m)
-
-    sum_r, sum_r2, sum_p, sum_p2 = _chunk_sum(channel, seed, n_samples, threads, sums)
+    sum_r, sum_r2, sum_p, sum_p2 = total
 
     n = float(n_samples)
     mean_r = sum_r / n
@@ -254,28 +234,3 @@ def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
         power_se=tuple(se_p),
         n_samples=n_samples,
     )
-
-
-def estimate_win_probability(channel: ChannelConfig, i: int, z: float, mu, lam,
-                             n_samples: int, seed: int, threads: int = 1):
-    """Fraction of states where user i strictly wins with positive utility at z."""
-    if not z >= 0.0:
-        raise ValueError("z must be nonnegative")
-    mu_arr, lam_arr = channel.weights(mu).as_array(), channel.prices(lam).as_array()
-    sigma2 = channel.sigma2
-    rivals = [k for k in range(channel.n_users) if k != i]
-
-    def wins(gains):
-        u = mu_arr / (2.0 * (sigma2 + z)) - lam_arr / gains
-        own = u[:, i]
-        won = own > 0.0
-        if rivals:
-            won &= own > functools.reduce(np.maximum, (u[:, k] for k in rivals))
-        return int(np.count_nonzero(won))
-
-    # integer counts: any grouping of the chunks gives the exact total
-    won_states = _chunk_sum(channel, seed, n_samples, threads,
-                            lambda draws, rows, count: [sum(map(wins, draws))])
-    p_hat = won_states / n_samples
-    se = float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
-    return p_hat, se

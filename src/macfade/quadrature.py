@@ -351,27 +351,16 @@ def panel_edges(lower: np.ndarray, upper: float, cuts) -> np.ndarray:
     and the r-th entry of every array in ``cuts``.  Candidates are taken in
     ascending order; one is dropped when it lies outside the open window,
     within 1e-12 of the window width of ``upper``, or within that gap above
-    the previous kept edge.  Dropped slots become right-hand NaN padding.
+    the in-window candidate before it, kept or not.  Dropped slots become
+    right-hand NaN padding.
     """
     lower = np.asarray(lower, dtype=float)
     cand = np.sort(np.stack([*dyadic_panel_edges(lower, upper), *cuts], axis=1), axis=1)
     gap = 1e-12 * (upper - lower)
     keep = (lower[:, None] < cand) & (cand < upper) & ~(upper - cand <= gap[:, None])
-    # Only a candidate near (within the gap of) its predecessor can be
-    # dropped.  If the predecessor is not near its own, it is kept, so the
-    # candidate goes.  Chains of three or more keep their head and drop
-    # their second; the rest are scanned in order, the last kept edge taken
-    # from the two columns to the left.  Out-of-window candidates (infinite
-    # cuts among them) enter the differences as NaN: no inf - inf is formed.
+    # Out-of-window candidates (infinite cuts among them) enter the
+    # differences as NaN, which compares False: no inf - inf is formed.
     inside = np.where(keep, cand, np.nan)
-    near = inside[:, 1:] - inside[:, :-1] <= gap[:, None]  # of columns 1, 2, ...
-    chain = near[:, 1:] & near[:, :-1]                       # of columns 2, 3, ...
-    keep[:, 1:] &= ~near
-    keep[:, 2:] |= chain
-    last = np.full(lower.shape, np.nan)
-    for j in np.flatnonzero(chain.any(axis=0)) + 2:
-        last = np.where(keep[:, j - 2], cand[:, j - 2], last)
-        last = np.where(keep[:, j - 1], cand[:, j - 1], last)
-        keep[:, j] &= ~(chain[:, j - 2] & (cand[:, j] - last <= gap))
+    keep[:, 1:] &= ~(inside[:, 1:] - inside[:, :-1] <= gap[:, None])
     inner = np.where(keep, cand, np.nan)
     return np.sort(np.column_stack([lower, inner, np.full(lower.shape, upper)]), axis=1)

@@ -45,7 +45,7 @@ from .kernel import (
     outer_request,
     power_integrand,
 )
-from .quadrature import integrate_or_raise
+from .quadrature import QuadratureError, integrate_or_raise
 
 __all__ = ["SolverSettings", "SolverResult", "SolverError", "achieved_power", "solve_lambda"]
 
@@ -107,7 +107,7 @@ def achieved_power(i: int, mu, lam, channel: ChannelConfig,
     batch hands all its levels to one batched inner integral.
     """
     req = outer_request(power_integrand, i, mu, lam, channel, mode, tol, tail_eps)
-    return 0.0 if req is None else max(float(integrate_or_raise(req).values[0]), 0.0)
+    return 0.0 if req is None else float(integrate_or_raise(req).values[0])
 
 
 def _quad_tol(settings: SolverSettings, pbar: float) -> float:
@@ -132,7 +132,8 @@ def solve_lambda(mu, channel: ChannelConfig,
     when every residual is inside tolerance at full quadrature precision.
     Pass ``initial_lambda`` and ``initial_jacobian`` (m x m, d r / d log lam)
     to warm-start from a neighbour's solution; the forward difference is
-    then taken only when a line search fails or a starved user revives.
+    then taken only when a line search fails or a starved user revives.  A
+    ``QuadratureError`` is raised again with the step, iterate and residuals.
     """
     if settings is None:
         settings = SolverSettings()
@@ -150,6 +151,18 @@ def solve_lambda(mu, channel: ChannelConfig,
     pbar = [user.pbar for user in channel.users]
     evals = 0
 
+    def power(i, lam, tol):
+        # A quadrature failure is raised again with where the solve was.
+        try:
+            return achieved_power(i, mu, lam, channel, settings.mode, tol, settings.tail_epsilon)
+        except QuadratureError as exc:
+            stage = (f"certificate pass after {steps} Newton steps" if certifying
+                     else f"Newton step {steps + 1}")
+            last = "none yet" if r is None else tuple(r.tolist())
+            raise QuadratureError(f"{exc}; in the solver's {stage} from "
+                                  f"lam={tuple(np.exp(x).tolist())}, last residuals {last}",
+                                  exc.result) from exc
+
     def residuals(x, users=range(m)):
         # Relative power residuals of ``users`` at prices exp(x); others read -1.
         nonlocal evals
@@ -157,9 +170,7 @@ def solve_lambda(mu, channel: ChannelConfig,
         r = np.full(m, -1.0)
         for i in users:
             evals += 1
-            r[i] = (achieved_power(i, mu, lam, channel, settings.mode,
-                                   _quad_tol(settings, pbar[i]),
-                                   settings.tail_epsilon) - pbar[i]) / pbar[i]
+            r[i] = (power(i, lam, _quad_tol(settings, pbar[i])) - pbar[i]) / pbar[i]
         return r
 
     def fd_jacobian(x, r, live):
@@ -179,9 +190,10 @@ def solve_lambda(mu, channel: ChannelConfig,
     # tighter quadrature cannot be pushed past it by integration noise
     rtol = 0.95 * settings.power_rel_tol
     x = np.log(lam0)
+    # read by ``power`` to place a quadrature failure; r is None until the start is evaluated
+    r, steps, certifying = None, 0, False
     r = residuals(x)
     fresh = False  # jac is a forward difference with no Broyden update since
-    steps = 0
     while np.max(np.abs(r)) > rtol:
         if steps == settings.max_outer_iters:
             raise _stalled(f"no convergence in {steps} Newton steps", x, r)
@@ -207,10 +219,9 @@ def solve_lambda(mu, channel: ChannelConfig,
         x, r = x_new, r_new
         steps += 1
 
+    certifying = True
     lam = LambdaVector(tuple(np.exp(x)))
-    achieved = [achieved_power(i, mu, lam, channel, settings.mode,
-                               _quad_tol(settings, pbar[i]) / 10.0,
-                               settings.tail_epsilon) for i in range(m)]
+    achieved = [power(i, lam, _quad_tol(settings, pbar[i]) / 10.0) for i in range(m)]
     return SolverResult(
         lam=lam,
         achieved=tuple(achieved),

@@ -27,12 +27,14 @@ the package's crossing and root expressions, so the closed-form
 ``montecarlo._allocate_chunk`` must match them bit for bit on continuous
 draws.
 
-``reference_estimate`` and ``reference_estimate_win_probability`` are a
-frozen copy of the Monte Carlo estimators as they ran one chunk at a time:
-state-major draws, the closed-form allocation on (n, m) arrays, four
-``np.sum(..., axis=0)`` calls per chunk and partials added in chunk order.
-They pin every output byte, so the package's estimators must equal them
-with ``==`` however they group chunks into tasks or threads.
+``reference_estimate`` is a frozen copy of the Monte Carlo estimator as it
+ran one chunk at a time: state-major draws, the closed-form allocation on
+(n, m) arrays, four ``np.sum(..., axis=0)`` calls per chunk and partials
+added in chunk order.  It pins every output byte, so ``montecarlo.estimate``
+must equal it with ``==`` however it groups chunks into tasks or threads.
+``reference_estimate_win_probability`` draws the same stream the same way
+and is the only win-probability estimator: acceptance 5 checks
+``kernel.win_probability`` against it.
 """
 
 import functools
@@ -208,18 +210,15 @@ def reference_integrate(f, lower, upper, breakpoints=(), abs_tol=1e-9, max_evals
 
 
 def merge_edges(edges, lower: float, upper: float) -> list:
-    """Sort candidate interior edges, dropping out-of-window and near-duplicate ones."""
+    """Sort candidate interior edges, dropping out-of-window and near-duplicate ones.
+
+    A candidate is dropped within 1e-12 of the window width of ``upper``, or
+    of the in-window candidate before it, kept or not: of a chain of
+    candidates each that close to the one before, only the head is kept.
+    """
     gap = 1e-12 * (upper - lower)
-    out: list = []
-    for b in sorted(edges):
-        if not lower < b < upper:
-            continue
-        if out and b - out[-1] <= gap:
-            continue
-        if upper - b <= gap:
-            continue
-        out.append(b)
-    return out
+    inside = [b for b in sorted(edges) if lower < b < upper and not upper - b <= gap]
+    return [b for a, b in zip([-math.inf] + inside, inside) if not b - a <= gap]
 
 
 def per_z_inner_integral(i, z, mu_arr, lam_arr, channel, mode, tol, tail_eps,

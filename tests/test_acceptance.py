@@ -22,10 +22,16 @@ from macfade.kernel import (
     UserSpec,
     win_probability,
 )
-from macfade.montecarlo import estimate, estimate_win_probability
+from macfade.montecarlo import estimate
 from macfade.solver import SolverSettings, solve_lambda
 
-from oracles import case_boundary, cdf_factor, wf_rate, wf_solve_lambda
+from oracles import (
+    case_boundary,
+    cdf_factor,
+    reference_estimate_win_probability,
+    wf_rate,
+    wf_solve_lambda,
+)
 
 
 def expo_channel(n_users, sigma2=1.0, means=None, pbars=None):
@@ -119,8 +125,8 @@ def test_acceptance_5_win_probability_disjoint_and_mc_checked():
         probs = [win_probability(i, z, mu, lam, CH2) for i in range(2)]
         disjoint &= sum(probs) <= 1.0 + 1e-7
         for i in range(2):
-            p_mc, se = estimate_win_probability(CH2, i, z, mu, lam, 1_000_000,
-                                                seed=515151)
+            p_mc, se = reference_estimate_win_probability(CH2, i, z, mu, lam, 1_000_000,
+                                                          seed=515151)
             scale = math.sqrt(max(p_mc * (1.0 - p_mc),
                                   probs[i] * (1.0 - probs[i])) / 1_000_000)
             mc_agrees &= abs(probs[i] - p_mc) <= 3.0 * scale

@@ -254,6 +254,29 @@ class TestBatchRequest:
         assert err.value.result == lone(lambda x, rows: needle(x), 0.0, 1.0,
                                         tuple(edges[1][1:-1]), 1e-12, budget)
 
+    def test_row_at_float_resolution_ends_as_the_reference(self):
+        # The last row spans one ulp, so its panel cannot be bisected: it is
+        # set aside and the row ends unconverged after its first rule.  The
+        # rows beside it are scaled so far down that they converge at this
+        # tolerance, after some bisections of their own.
+        top = float(np.nextafter(1.0, 2.0))
+        f = lambda x: np.exp(-x) * np.sin(3.0 * x) ** 2
+        counts = np.zeros(3, dtype=int)
+
+        def integrand(x, rows):
+            np.add.at(counts, rows, x.shape[1])
+            return np.where(rows[:, None] == 2, 1.0, 1e-290 * f(x))
+
+        req = BatchRequest(integrand, [[0.0, 9.0], [0.5, 4.0], [1.0, top]], abs_tol=1e-300,
+                           row_name=lambda r: f"row {r}")
+        with pytest.raises(QuadratureError, match="^row 2: quadrature did not converge") as err:
+            integrate_or_raise(req)
+        assert err.value.result == reference_integrate(np.ones_like, 1.0, top, (), 1e-300)
+        assert err.value.result.evals == counts[2] == 15
+        for r, (lo, hi) in enumerate(((0.0, 9.0), (0.5, 4.0))):
+            alone = lone(lambda x, rows: 1e-290 * f(x), lo, hi, (), 1e-300)
+            assert alone.converged and alone.evals == counts[r] > 15
+
     # row 1 ends unconverged; row 2 meets its pole at its first rule (0.5 is
     # the centre node of [0, 1]) or at its first bisection (0.25)
     @pytest.mark.parametrize("pole", [0.5, 0.25])
@@ -287,8 +310,8 @@ class TestBatchRequest:
         near = [lower + 1e-13 * span, upper - 1e-13 * span,
                 rng.uniform(-5.0, 30.0, size=200)]
         near.append(near[2] + rng.choice([0.0, 1e-13, 1e-6], size=200) * span)
-        # each 0.6 gap above the last: the first and third are kept, which a
-        # gap to the previous candidate, kept or not, would not give
+        # each 0.6 gap above the one before: only the head is kept, as the
+        # gap is taken to the previous candidate, kept or not
         chain = [lower + 0.3 * span + f * 1e-12 * span for f in (0.0, 0.6, 1.2)]
         infinite = [*near, np.full(lower.shape, np.inf)]
         for cuts in (near, chain, infinite):
@@ -302,7 +325,7 @@ class TestBatchRequest:
                 got = rows[r][~np.isnan(rows[r])].tolist()
                 assert got == expected
             if cuts is chain:
-                assert (np.count_nonzero(~np.isnan(rows), axis=1) == 2 + 5 + 2).all()
+                assert (np.count_nonzero(~np.isnan(rows), axis=1) == 2 + 5 + 1).all()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_panel_edges_random_chains_match_scalar_merge(self, seed):

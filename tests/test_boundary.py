@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from macfade import solver
 from macfade.boundary import (
+    _rate_point_detailed,
     compare_modes,
     rate_point,
     simplex_grid,
@@ -13,6 +15,7 @@ from macfade.boundary import (
 )
 from macfade.fading import ExponentialGain, UniformGain
 from macfade.kernel import CdfMode, ChannelConfig, LambdaVector, RateAwardVector, UserSpec
+from macfade.quadrature import QuadratureError
 from macfade.solver import SolverSettings, achieved_power, solve_lambda
 
 from oracles import wf_rate, wf_solve_lambda
@@ -63,6 +66,16 @@ class TestRatePoint:
             naive = rate_point(mu, lam, CH2, CdfMode.NAIVE_ZERO)
             for c, n in zip(corrected, naive):
                 assert c >= n - 1e-10
+
+    def test_priced_out_user_has_an_empty_window(self):
+        # user 0's threshold 2*lam*sigma2/mu = 40 lies past its tail point:
+        # no outer integral is built, and its rate and error are exactly 0
+        mu, lam = CH2.weights((0.5, 0.5)), CH2.prices((10.0, 0.1))
+        rates = rate_point(mu, lam, CH2)
+        assert rates[0] == 0.0 and rates[1] > 0.0
+        detailed, errors = _rate_point_detailed(mu, lam, CH2, CdfMode.CORRECTED, 1e-8, 1e-12)
+        assert detailed == rates
+        assert errors[0] == 0.0 and errors[1] > 0.0
 
     def test_rates_increase_with_power_budget(self):
         mu = RateAwardVector((0.6, 0.4))
@@ -170,6 +183,16 @@ class TestSweep:
             if not p.ok:
                 assert p.status.startswith("error:")
                 assert p.rates is None
+
+    def test_quadrature_failure_status_names_the_newton_step(self, monkeypatch):
+        def failing(*args):
+            raise QuadratureError("outer power integral: quadrature did not converge")
+
+        monkeypatch.setattr(solver, "achieved_power", failing)
+        (point,) = sweep(CH2, [(0.6, 0.4)], FAST)
+        assert point.status.startswith("error: outer power integral: quadrature did not converge; "
+                                       "in the solver's Newton step 1 from lam=(")
+        assert point.status.endswith("last residuals none yet")
 
 
 class TestCompareModes:

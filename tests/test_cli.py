@@ -182,6 +182,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("did not converge") == 1
         assert "outer power integral of user 1 over z at lam=(" in err
+        assert re.search(r"; in the solver's Newton step \d+ from lam=\(.*\), "
+                         r"last residuals \(-?\d[^,]*, -?\d[^,]*\)$", err)
 
     def test_bad_thread_override_is_config_error(self, tmp_path, capsys):
         assert main(["solve", "--config", write_config(tmp_path), "--threads", "0"]) == 1

@@ -18,7 +18,7 @@ from macfade.kernel import (
     rate_integrand,
     win_probability,
 )
-from macfade.montecarlo import estimate, estimate_win_probability
+from macfade.montecarlo import estimate
 from macfade.solver import achieved_power, solve_lambda
 
 CHANNEL = ChannelConfig(1.0, (UserSpec(ExponentialGain(1.0), 1.0),
@@ -35,8 +35,6 @@ ENTRIES = {
     "achieved_power": lambda mu, lam: achieved_power(0, mu, lam, CHANNEL),
     "rate_point": lambda mu, lam: rate_point(mu, lam, CHANNEL),
     "estimate": lambda mu, lam: estimate(CHANNEL, mu, lam, STATES, seed=1),
-    "estimate_win_probability":
-        lambda mu, lam: estimate_win_probability(CHANNEL, 0, Z, mu, lam, STATES, seed=1),
     "solve_lambda": lambda mu, lam: solve_lambda(mu, CHANNEL, initial_lambda=lam),
 }
 

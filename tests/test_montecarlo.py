@@ -8,7 +8,7 @@ import pytest
 from macfade.boundary import rate_point
 from macfade.fading import ExponentialGain, PiecewiseLinearEmpirical, UniformGain
 from macfade.kernel import ChannelConfig, LambdaVector, RateAwardVector, UserSpec, win_probability
-from macfade.montecarlo import _allocate_chunk, estimate, estimate_win_probability, state_chunk
+from macfade.montecarlo import _allocate_chunk, estimate, state_chunk
 from macfade.solver import solve_lambda
 from oracles import (
     FadingState,
@@ -284,15 +284,9 @@ class TestEstimate:
         serial = estimate(CH2, mu, lam, 50_000, 42, threads=1)
         threaded = estimate(CH2, mu, lam, 50_000, 42, threads=4)
         assert serial == threaded
-        p1, se1 = estimate_win_probability(CH2, 0, 0.5, mu, lam, 50_000, 42, threads=1)
-        p4, se4 = estimate_win_probability(CH2, 0, 0.5, mu, lam, 50_000, 42, threads=4)
-        assert (p1, se1) == (p4, se4)
         for channel, mu, lam in ((CH3, MU3, LAM3), (CH4, MU4, LAM4)):
             results = [estimate(channel, mu, lam, 30_001, 7, threads=t) for t in (1, 2, 3)]
             assert results[0] == results[1] == results[2]
-            probabilities = [estimate_win_probability(channel, 1, 0.3, mu, lam, 30_001, 7,
-                                                      threads=t) for t in (1, 2, 3)]
-            assert probabilities[0] == probabilities[1] == probabilities[2]
 
     def test_partial_final_chunk(self):
         mu = RateAwardVector((0.7, 0.3))
@@ -333,20 +327,16 @@ MC_CASES = {
 
 
 class TestReferenceEstimator:
-    """The task-grouped estimators against the one-chunk-at-a-time reference."""
+    """The task-grouped estimator against the one-chunk-at-a-time reference."""
 
     @pytest.mark.parametrize("n_samples", [1, 4095, 4096, 4097, 30_001, 1 << 18])
     @pytest.mark.parametrize("case", MC_CASES)
     def test_equals_reference_bit_for_bit(self, case, n_samples):
         channel, mu, lam = MC_CASES[case]
         expected = reference_estimate(channel, mu, lam, n_samples, 11)
-        expected_p = reference_estimate_win_probability(channel, 0, 0.3, mu, lam,
-                                                        n_samples, 11)
         for threads in (1, 2, 3):
             assert_same_estimate(estimate(channel, mu, lam, n_samples, 11, threads=threads),
                                  expected)
-            assert estimate_win_probability(channel, 0, 0.3, mu, lam, n_samples, 11,
-                                            threads=threads) == expected_p
 
     def test_zero_gains_are_redrawn(self):
         law = CH_ZERO.users[0].fading
@@ -366,18 +356,19 @@ class TestReferenceEstimator:
 
 class TestEstimateWinProbability:
     def test_single_user_closed_form(self):
-        p, se = estimate_win_probability(CH1, 0, 0.0, (1.0,), (1.0,), 400_000, 7)
+        p, se = reference_estimate_win_probability(CH1, 0, 0.0, (1.0,), (1.0,), 400_000, 7)
         assert abs(p - math.exp(-2.0)) <= 3.0 * se
 
     def test_far_interference_level_never_wins(self):
-        p, se = estimate_win_probability(CH1, 0, 50.0, (1.0,), (1.0,), 50_000, 7)
+        p, se = reference_estimate_win_probability(CH1, 0, 50.0, (1.0,), (1.0,), 50_000, 7)
         assert p == 0.0
 
     def test_events_disjoint(self):
         mu = RateAwardVector((0.7, 0.3))
         lam = LambdaVector((0.126, 0.0454))
         for z in (0.0, 0.8, 2.0):
-            total = sum(estimate_win_probability(CH2, i, z, mu, lam, 100_000, 55)[0]
+            total = sum(reference_estimate_win_probability(CH2, i, z, mu, lam,
+                                                           100_000, 55)[0]
                         for i in range(2))
             assert total <= 1.0
 
@@ -386,8 +377,8 @@ class TestEstimateWinProbability:
         lam = LambdaVector((0.126, 0.0454))
         for z in np.linspace(0.0, 2.5, 6):
             for i in range(2):
-                p_mc, se = estimate_win_probability(CH2, i, float(z), mu, lam,
-                                                    200_000, 99)
+                p_mc, se = reference_estimate_win_probability(CH2, i, float(z), mu, lam,
+                                                              200_000, 99)
                 p = win_probability(i, float(z), mu, lam, CH2)
                 scale = math.sqrt(max(p_mc * (1.0 - p_mc), p * (1.0 - p)) / 200_000)
                 assert abs(p_mc - p) <= 3.0 * scale + 1e-9

@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from macfade import solver
 from macfade.fading import ExponentialGain, UniformGain
 from macfade.kernel import CdfMode, ChannelConfig, LambdaVector, RateAwardVector, UserSpec
+from macfade.quadrature import QuadratureError
 from macfade.solver import (
     SolverError,
     SolverSettings,
@@ -192,6 +195,45 @@ class TestSolveLambda:
         reference = solve_lambda(mu, CH2)
         for x, y in zip(result.lam.lam, reference.lam.lam):
             assert abs(x - y) / y <= 10.0 * 1e-6
+
+    def test_singular_carried_jacobian_falls_back_to_a_forward_difference(self):
+        mu = RateAwardVector((0.6, 0.4))
+        result = solve_lambda(mu, CH2, initial_lambda=(0.2, 0.2),
+                              initial_jacobian=[[0.0, 0.0], [0.0, 0.0]])
+        # no Newton step solves a zero matrix: it was measured afresh
+        assert result.jacobian[0][0] < 0.0 and result.jacobian[1][1] < 0.0
+        for res in result.certified_residuals:
+            assert abs(res) <= 1e-6
+        reference = solve_lambda(mu, CH2)
+        for x, y in zip(result.lam.lam, reference.lam.lam):
+            assert abs(x - y) / y <= 10.0 * 1e-6
+
+    # the first power integral, one of the first step's forward difference,
+    # and the first of the certificate pass
+    @pytest.mark.parametrize("where", ["start", "difference", "certificate"])
+    def test_quadrature_failure_names_the_solver_stage(self, monkeypatch, where):
+        mu = RateAwardVector((0.7, 0.3))
+        solved = solve_lambda(mu, CH2)
+        fail_at = {"start": 1, "difference": 4, "certificate": solved.power_evals + 1}[where]
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == fail_at:
+                raise QuadratureError("outer power integral: quadrature did not converge",
+                                      result="best")
+            return achieved_power(*args)
+
+        monkeypatch.setattr(solver, "achieved_power", failing)
+        with pytest.raises(QuadratureError) as err:
+            solve_lambda(mu, CH2)
+        stage = (f"certificate pass after {solved.sweeps} Newton steps"
+                 if where == "certificate" else "Newton step 1")
+        last = "none yet" if where == "start" else r"\(-?\d[^,]*, -?\d[^,]*\)"
+        assert re.fullmatch(r"outer power integral: quadrature did not converge; in the "
+                            rf"solver's {stage} from lam=\([^)]*\), last residuals {last}",
+                            str(err.value))
+        assert err.value.result == "best"
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
