@@ -8,14 +8,7 @@ of negative CDF arguments), and an independent Monte Carlo simulator of the
 per-state marginal-utility auction cross-checks every number.
 """
 
-from .boundary import (
-    BoundaryPoint,
-    ModeComparison,
-    compare_modes,
-    rate_point,
-    simplex_grid,
-    sweep,
-)
+from .boundary import compare_modes, rate_point, simplex_grid, sweep
 from .fading import (
     ExponentialGain,
     FadingDistribution,
@@ -30,26 +23,22 @@ from .kernel import (
     UserSpec,
     win_probability,
 )
-from .montecarlo import McEstimate, estimate
+from .montecarlo import estimate
 from .quadrature import QuadratureError
-from .solver import SolverError, SolverResult, SolverSettings, achieved_power, solve_lambda
+from .solver import SolverError, SolverSettings, achieved_power, solve_lambda
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryPoint",
     "CdfMode",
     "ChannelConfig",
     "ExponentialGain",
     "FadingDistribution",
     "LambdaVector",
-    "McEstimate",
-    "ModeComparison",
     "PiecewiseLinearEmpirical",
     "QuadratureError",
     "RateAwardVector",
     "SolverError",
-    "SolverResult",
     "SolverSettings",
     "UniformGain",
     "UserSpec",

@@ -481,8 +481,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
-        if exc.residuals is not None:
-            print(f"last residuals: {exc.residuals}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except QuadratureError as exc:
         print(f"quadrature error: {exc}", file=sys.stderr)

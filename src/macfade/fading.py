@@ -1,7 +1,7 @@
 """Per-user fading laws: channel power gain distributions on [0, inf).
 
-Every distribution exposes exact pdf/cdf/quantile evaluation plus inverse-cdf
-sampling from a caller-owned uniform stream, so a fixed random stream yields
+Every distribution exposes exact pdf/cdf/quantile evaluation; draws are
+quantiles of a caller-owned uniform stream, so a fixed random stream yields
 identical draws on every platform.  The gain h is the channel POWER gain: it
 divides the power price and multiplies received power, so the 1/h factor in
 the transmit-power accounting is literal.
@@ -83,11 +83,6 @@ class FadingDistribution(ABC):
         sees a smooth integrand.
         """
         return ()
-
-    def sample(self, rng, size=None):
-        """Inverse-cdf draw(s) using uniforms from the caller-owned generator."""
-        u = rng.random() if size is None else rng.random(size)
-        return self.quantile(u)
 
     def tail_point(self, eps: float) -> float:
         """Smallest gain beyond which the remaining tail mass is at most eps."""

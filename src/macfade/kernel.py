@@ -201,14 +201,14 @@ def _clipped_argument(i, k, h_arr, z, mu_arr, lam_arr, sigma2, mode):
     return np.where(pos, x, np.where(den == 0.0, np.inf, 0.0))
 
 
-def _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps,
-                    power_weight, max_evals, quantity):
+def _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps, quantity):
     """Common inner h-integral for the win probability and the power kernel.
 
     ``z`` is one interference level or an array of them; all levels share
     one batched integral with a row per level whose window is not empty,
-    each refined on its own.  Returns a float for a scalar ``z``, else an
-    array shaped like ``z``.
+    each refined on its own.  ``quantity`` names the rows in error messages,
+    and ``"power"`` adds the transmit-power weight 1/h.  Returns a float for
+    a scalar ``z``, else an array shaped like ``z``.
     """
     mu_arr, lam_arr = channel.weights(mu).as_array(), channel.prices(lam).as_array()
     sigma2 = channel.sigma2
@@ -233,12 +233,12 @@ def _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps,
                 den = 2.0 * lam_arr[k] * a - c * (mu_arr[k] - mu_arr[i])
                 pos = den > 0.0
                 cuts.append(np.where(pos, 2.0 * c * lam_arr[i] * a / np.where(pos, den, 1.0), np.inf))
+        pdf = dist_i._pdf_raw
+        density = (lambda h: pdf(h) / h) if quantity == "power" else pdf
 
         def integrand(h, rows):
             z_h = z_live[rows, None]
-            value = dist_i._pdf_raw(h)
-            if power_weight:
-                value = value / h
+            value = density(h)
             for k, dist in zip(rivals, rival_dists):
                 arg = _clipped_argument(i, k, h, z_h, mu_arr, lam_arr, sigma2, mode)
                 value = value * dist._cdf_raw(arg)
@@ -248,7 +248,6 @@ def _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps,
             integrand,
             panel_edges(lower[live], upper, cuts),
             abs_tol=tol,
-            max_evals=max_evals,
             row_name=lambda r: f"{quantity} of user {i} at z={float(z_live[r])!r}",
         )
         result = integrate_or_raise(req)
@@ -259,8 +258,7 @@ def _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps,
 def win_probability(i: int, z, mu, lam, channel: ChannelConfig,
                     mode: CdfMode = CdfMode.CORRECTED,
                     tol: float = DEFAULT_INNER_TOL,
-                    tail_eps: float = DEFAULT_TAIL_EPS,
-                    max_evals: int = 100_000):
+                    tail_eps: float = DEFAULT_TAIL_EPS):
     """Probability that user i wins the bidding at interference level z.
 
     Integrates f_i(h) times the product of treated rival CDF factors from the
@@ -269,33 +267,27 @@ def win_probability(i: int, z, mu, lam, channel: ChannelConfig,
     argument reaches one of that rival's kinks.  Truncation is at the
     1 - tail_eps quantile of user i's own gain, which bounds the discarded
     tail because the rival factors never exceed 1.  ``z`` may be a float or
-    an array of levels (array result); ``tol`` and ``max_evals`` apply to
-    each level on its own.
+    an array of levels (array result); ``tol`` and the default evaluation
+    budget of a :class:`BatchRequest` apply to each level on its own.
     """
-    return _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps,
-                           power_weight=False, max_evals=max_evals,
-                           quantity="win probability")
+    return _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps, "win probability")
 
 
 def rate_integrand(i: int, z, mu, lam, channel: ChannelConfig,
                    mode: CdfMode = CdfMode.CORRECTED,
                    tol: float = DEFAULT_INNER_TOL,
-                   tail_eps: float = DEFAULT_TAIL_EPS,
-                   max_evals: int = 100_000):
+                   tail_eps: float = DEFAULT_TAIL_EPS):
     """Win probability weighted by the rate-per-received-power factor 1/(2(sigma2+z))."""
-    p = _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps,
-                        power_weight=False, max_evals=max_evals, quantity="rate")
+    p = _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps, "rate")
     return p / (2.0 * (channel.sigma2 + z))
 
 
 def power_integrand(i: int, z, mu, lam, channel: ChannelConfig,
                     mode: CdfMode = CdfMode.CORRECTED,
                     tol: float = DEFAULT_INNER_TOL,
-                    tail_eps: float = DEFAULT_TAIL_EPS,
-                    max_evals: int = 100_000):
+                    tail_eps: float = DEFAULT_TAIL_EPS):
     """Same inner integral as the win probability with the transmit-power weight 1/h."""
-    return _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps,
-                           power_weight=True, max_evals=max_evals, quantity="power")
+    return _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps, "power")
 
 
 def outer_request(inner, i: int, mu, lam, channel: ChannelConfig, mode: CdfMode,

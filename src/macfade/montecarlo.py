@@ -171,6 +171,8 @@ def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
     m = channel.n_users
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if not (isinstance(threads, int) and threads >= 1):
+        raise ValueError(f"threads must be an integer of at least 1, not {threads!r}")
     per_task = max(1, TASK_BYTES // (CHUNK_SIZE * 4 * m * 8))
     full, rest = divmod(n_samples, CHUNK_SIZE)
     tasks = [range(j, min(j + per_task, full)) for j in range(0, full, per_task)]
@@ -199,7 +201,7 @@ def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
     # Worker w runs every workers-th task from task w.  The calling thread is
     # worker 0, so a run holds one thread's working memory fewer than a pool
     # of ``threads`` would.
-    workers = max(1, min(threads, len(tasks)))
+    workers = min(threads, len(tasks))
 
     def share(w):
         return [run(chunks) for chunks in tasks[w::workers]]

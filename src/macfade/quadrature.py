@@ -210,8 +210,11 @@ def integrate_or_raise(req: BatchRequest) -> BatchResult:
 
     The initial panel set of a row (one panel per gap between its edges) is
     always evaluated, since no estimate exists without it; ``max_evals``
-    bounds the refinement on top of it.  Rows whose initial error is clearly
-    within tolerance finish without any per-row Python work.
+    bounds the refinement on top of it.  Rows whose initial error is within
+    tolerance finish without any per-row Python work.  A refining row keeps
+    a running total of its panel errors; once that says stop, the panels
+    are summed left to right, and the row stops only if that sum, which is
+    also its reported result, meets the tolerance.
 
     A row fails when its integrand turns non-finite, or when it ends
     unconverged: its budget ran out, or every panel hit float resolution,
@@ -240,6 +243,16 @@ def integrate_or_raise(req: BatchRequest) -> BatchResult:
         fail(r, f"quadrature did not converge: error estimate {row.error_estimate:.3e} "
                 f"exceeds tolerance {tol:.3e} after {row.evals} evaluations", row)
 
+    def summed(r, heap, done):
+        """Store row r's value and error, its panels added left to right; return the error."""
+        value = error = 0.0
+        # sorted by left edge a, unique within a row
+        for _, _, v, e in sorted(done + [(a, b, v, -neg_err) for neg_err, a, b, v in heap]):
+            value += v
+            error += e
+        values[r], errors[r] = value, error
+        return error
+
     def prune():
         """Stop refining the lowest failed row and every row above it."""
         first = min(failures)
@@ -264,17 +277,14 @@ def integrate_or_raise(req: BatchRequest) -> BatchResult:
             error = error + errs[:, j]
         values[group] = value
         errors[group] = error
-        # The refinement test sums a row's errors in heap order, which can
-        # differ from this sum by rounding only: 4*p*eps relative covers it.
-        rest = ((error > tol * (1.0 - 4.0 * p * _EPS))
-                & (evals[group] + 2 * _EVALS_PER_RULE <= budget))
+        rest = (error > tol) & (evals[group] + 2 * _EVALS_PER_RULE <= budget)
         rest[list(bad)] = False
         for g in np.flatnonzero(rest).tolist():
             a_b = window[g].tolist()
             heap: list = []
             for a, b, v, e in zip(a_b, a_b[1:], vals[g].tolist(), errs[g].tolist()):
                 heapq.heappush(heap, (-e, a, b, v))
-            refining[int(group[g])] = [heap, [], sum(-item[0] for item in heap)]
+            refining[int(group[g])] = [heap, [], float(error[g])]
         ended = ~rest & ~(error <= tol)
         ended[list(bad)] = False
         for g in np.flatnonzero(ended).tolist():
@@ -286,7 +296,13 @@ def integrate_or_raise(req: BatchRequest) -> BatchResult:
         batch = []  # (row, a, mid, b, err) of the panel each active row bisects
         for r, state in list(refining.items()):
             heap, done, total_err = state
-            while heap and total_err > tol and evals[r] + 2 * _EVALS_PER_RULE <= budget:
+            while heap and evals[r] + 2 * _EVALS_PER_RULE <= budget:
+                if not total_err > tol:
+                    # The running total drifts from the panel sum by rounding,
+                    # and can even cancel to 0.0: only the sum may stop a row.
+                    total_err = state[2] = summed(r, heap, done)
+                    if total_err <= tol:
+                        break
                 neg_err, a, b, value = heapq.heappop(heap)
                 mid = 0.5 * (a + b)
                 if a < mid < b:
@@ -294,17 +310,10 @@ def integrate_or_raise(req: BatchRequest) -> BatchResult:
                     break
                 done.append((a, b, value, -neg_err))  # at float resolution
             else:
-                panels = done + [(a, b, v, -neg_err) for neg_err, a, b, v in heap]
-                panels.sort()  # by left edge a, unique within a row
-                value = 0.0
-                error = 0.0
-                for _, _, v, e in panels:
-                    value += v
-                    error += e
-                values[r] = value
-                errors[r] = error
+                summed(r, heap, done)
+            if not (batch and batch[-1][0] == r):  # the row is done refining
                 del refining[r]
-                if not error <= tol:
+                if not errors[r] <= tol:
                     fail_unconverged(r)
         if failures:
             prune()

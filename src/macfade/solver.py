@@ -80,7 +80,6 @@ class SolverSettings:
 class SolverResult:
     lam: LambdaVector
     achieved: tuple
-    residuals: tuple            # relative residuals at the working tolerance
     certified_residuals: tuple  # re-verified with quadrature tightened tenfold
     sweeps: int                 # Newton steps taken
     power_evals: int
@@ -225,7 +224,6 @@ def solve_lambda(mu, channel: ChannelConfig,
     return SolverResult(
         lam=lam,
         achieved=tuple(achieved),
-        residuals=tuple(r.tolist()),
         certified_residuals=tuple((a - p) / p for a, p in zip(achieved, pbar)),
         sweeps=steps,
         power_evals=evals,

@@ -174,8 +174,11 @@ def reference_integrate(f, lower, upper, breakpoints=(), abs_tol=1e-9, max_evals
     """One integral of the vectorized ``f``, refined on its own.
 
     Pops the panel with the largest error (the leftmost on ties), bisects
-    it, charges 30 evaluations, and stops at the tolerance or the budget;
-    then sums the panels left to right.
+    it, charges 30 evaluations, and keeps a running total of the panel
+    errors, started at their left-to-right sum.  When that total meets the
+    tolerance the panels are summed left to right, and refinement stops
+    only if that sum meets it too; it also stops at the budget.  The result
+    is the panels summed left to right.
     """
     edges = [float(lower), *[float(b) for b in breakpoints], float(upper)]
     heap: list = []  # (-err, a, b, value)
@@ -184,9 +187,25 @@ def reference_integrate(f, lower, upper, breakpoints=(), abs_tol=1e-9, max_evals
     evals = 15 * (len(edges) - 1)
     for a, b, value, err in zip(edges, edges[1:], values, errs):
         heapq.heappush(heap, (-float(err), a, b, float(value)))
-    total_err = sum(-item[0] for item in heap)
+    total_err = 0.0
+    for err in errs:
+        total_err += float(err)
 
-    while heap and total_err > abs_tol and evals + 30 <= max_evals:
+    def summed():
+        panels = done + [(a, b, value, -neg_err) for neg_err, a, b, value in heap]
+        panels.sort(key=lambda p: p[0])
+        value = 0.0
+        error = 0.0
+        for _, _, v, e in panels:
+            value += v
+            error += e
+        return value, error
+
+    while heap and evals + 30 <= max_evals:
+        if not total_err > abs_tol:
+            total_err = summed()[1]
+            if total_err <= abs_tol:
+                break
         neg_err, a, b, value = heapq.heappop(heap)
         err = -neg_err
         mid = 0.5 * (a + b)
@@ -199,13 +218,7 @@ def reference_integrate(f, lower, upper, breakpoints=(), abs_tol=1e-9, max_evals
         heapq.heappush(heap, (-float(half_errs[1]), mid, b, float(halves[1])))
         total_err += float(half_errs[0]) + float(half_errs[1]) - err
 
-    panels = done + [(a, b, value, -neg_err) for neg_err, a, b, value in heap]
-    panels.sort(key=lambda p: p[0])
-    value = 0.0
-    error = 0.0
-    for _, _, v, e in panels:
-        value += v
-        error += e
+    value, error = summed()
     return IntegrationResult(value, error, evals, error <= abs_tol)
 
 

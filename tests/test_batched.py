@@ -5,12 +5,14 @@ for bit, what one call per level gives and what the per-level reference in
 ``oracles.per_z_inner_integral`` gives.  Failures name the offending row.
 """
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from macfade import kernel
 from macfade.fading import ExponentialGain, PiecewiseLinearEmpirical, UniformGain
 from macfade.kernel import (
     CdfMode,
@@ -152,15 +154,21 @@ class TestFailureAttribution:
     # any tolerance; at z = 0 the 135-evaluation budget cannot reach 1e-16
     EASY_Z = 75.0
 
-    def test_one_failing_row_is_named_with_its_own_result(self):
-        easy = win_probability(0, self.EASY_Z, self.MU, self.LAM, self.CH2,
-                               tol=1e-16, max_evals=135)
+    @staticmethod
+    def budget(monkeypatch, max_evals):
+        """Give every inner integral the evaluation budget ``max_evals``."""
+        monkeypatch.setattr(kernel, "BatchRequest",
+                            functools.partial(BatchRequest, max_evals=max_evals))
+
+    def test_one_failing_row_is_named_with_its_own_result(self, monkeypatch):
+        self.budget(monkeypatch, 135)
+        easy = win_probability(0, self.EASY_Z, self.MU, self.LAM, self.CH2, tol=1e-16)
         assert easy > 0.0
         with pytest.raises(QuadratureError) as alone:
-            win_probability(0, 0.0, self.MU, self.LAM, self.CH2, tol=1e-16, max_evals=135)
+            win_probability(0, 0.0, self.MU, self.LAM, self.CH2, tol=1e-16)
         zs = np.array([self.EASY_Z, 0.0, 1e3])
         with pytest.raises(QuadratureError) as err:
-            win_probability(0, zs, self.MU, self.LAM, self.CH2, tol=1e-16, max_evals=135)
+            win_probability(0, zs, self.MU, self.LAM, self.CH2, tol=1e-16)
         message = str(err.value)
         assert message.startswith("win probability of user 0 at z=0.0: ")
         assert "did not converge" in message
@@ -171,10 +179,10 @@ class TestFailureAttribution:
 
     @pytest.mark.parametrize("fn, quantity", [(power_integrand, "power"),
                                               (rate_integrand, "rate")])
-    def test_quantity_is_named(self, fn, quantity):
+    def test_quantity_is_named(self, fn, quantity, monkeypatch):
+        self.budget(monkeypatch, 105)
         with pytest.raises(QuadratureError, match=rf"^{quantity} of user 1 at z=0\.5: "):
-            fn(1, np.array([0.5, 2.0]), self.MU, self.LAM, self.CH2,
-               tol=1e-18, max_evals=105)
+            fn(1, np.array([0.5, 2.0]), self.MU, self.LAM, self.CH2, tol=1e-18)
 
     def test_non_finite_row_is_named(self):
         def integrand(x, rows):
@@ -276,6 +284,18 @@ class TestBatchRequest:
         for r, (lo, hi) in enumerate(((0.0, 9.0), (0.5, 4.0))):
             alone = lone(lambda x, rows: 1e-290 * f(x), lo, hi, (), 1e-300)
             assert alone.converged and alone.evals == counts[r] > 15
+
+    def test_error_sum_that_cancels_does_not_stop_a_row(self):
+        # A node lands on the cusp at 1/3, so the first panel errors are
+        # huge; after they are bisected a running total of the panel errors
+        # can cancel to 0.0 while the panels still sum to about 1.6e-7.
+        f = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0) + 1e-300)
+        req = BatchRequest(lambda x, rows: f(x), [[0.0, 1.0]], abs_tol=1e-12,
+                           max_evals=20_000)
+        with pytest.raises(QuadratureError, match="did not converge") as err:
+            integrate_or_raise(req)
+        assert err.value.result == reference_integrate(f, 0.0, 1.0, (), 1e-12, 20_000)
+        assert err.value.result.evals > 20_000 - 30
 
     # row 1 ends unconverged; row 2 meets its pole at its first rule (0.5 is
     # the centre node of [0, 1]) or at its first bisection (0.25)

@@ -166,9 +166,10 @@ class TestExitCodes:
         path = write_config(tmp_path)
         assert main(["boundary", "--config", path]) == 1
 
-    def test_solver_non_convergence_exits_2(self, tmp_path):
+    def test_solver_non_convergence_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"solver": {"max_outer_iters": 1}})
         assert main(["solve", "--config", path]) == 2
+        assert capsys.readouterr().err.count("last residuals") == 1
 
     def test_quadrature_failure_names_its_layer_once(self, tmp_path, capsys):
         # Two narrow uniform laws at the default tolerances: the cold solve

@@ -3,12 +3,14 @@
 Each entry that takes mu or lam must raise ``ValueError`` on a price that is
 not positive and finite, on weights off the simplex, and on a vector whose
 length is not the channel's user count, instead of returning a number.
+The package exports exactly its public names, and each one resolves.
 """
 
 import math
 
 import pytest
 
+import macfade
 from macfade.boundary import rate_point
 from macfade.fading import ExponentialGain, UniformGain
 from macfade.kernel import (
@@ -54,3 +56,17 @@ def test_bad_weights_or_prices_raise_value_error(entry, bad):
     mu, lam = BAD_INPUTS[bad]
     with pytest.raises(ValueError):
         ENTRIES[entry](mu, lam)
+
+
+EXPORTS = [
+    "CdfMode", "ChannelConfig", "ExponentialGain", "FadingDistribution", "LambdaVector",
+    "PiecewiseLinearEmpirical", "QuadratureError", "RateAwardVector", "SolverError",
+    "SolverSettings", "UniformGain", "UserSpec", "achieved_power", "compare_modes",
+    "estimate", "rate_point", "simplex_grid", "solve_lambda", "sweep", "win_probability",
+]
+
+
+def test_package_exports():
+    assert sorted(macfade.__all__) == EXPORTS
+    for name in EXPORTS:
+        assert hasattr(macfade, name), name

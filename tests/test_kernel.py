@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -202,13 +203,15 @@ class TestBruteForceAgreement:
 
 
 class TestNonConvergence:
-    def test_exhausted_budget_raises_with_achieved_estimate(self):
-        from macfade.quadrature import QuadratureError
+    def test_exhausted_budget_raises_with_achieved_estimate(self, monkeypatch):
+        from macfade import kernel
+        from macfade.quadrature import BatchRequest, QuadratureError
 
+        monkeypatch.setattr(kernel, "BatchRequest", functools.partial(BatchRequest, max_evals=135))
         mu = RateAwardVector((0.7, 0.3))
         lam = LambdaVector((0.126, 0.0454))
         with pytest.raises(QuadratureError) as err:
-            win_probability(0, 0.0, mu, lam, CH2, tol=1e-16, max_evals=135)
+            win_probability(0, 0.0, mu, lam, CH2, tol=1e-16)
         assert err.value.result is not None
         assert err.value.result.error_estimate > 1e-16
 

@@ -119,7 +119,7 @@ class TestWinnerPartition:
         mu_arr = mu.as_array()
         lam_arr = lam.as_array()
         n_states = 10_000
-        gains_by_user = [u.fading.sample(rng, size=n_states) for u in channel.users]
+        gains_by_user = [u.fading.quantile(rng.random(n_states)) for u in channel.users]
         gains = np.column_stack(gains_by_user)
         checked_inside = 0
         for row in range(n_states):
@@ -287,6 +287,12 @@ class TestEstimate:
         for channel, mu, lam in ((CH3, MU3, LAM3), (CH4, MU4, LAM4)):
             results = [estimate(channel, mu, lam, 30_001, 7, threads=t) for t in (1, 2, 3)]
             assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("threads", [0, -3, 2.5])
+    def test_bad_thread_count_raises(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            estimate(CH2, RateAwardVector((0.7, 0.3)), LambdaVector((0.126, 0.0454)),
+                     100, 1, threads=threads)
 
     def test_partial_final_chunk(self):
         mu = RateAwardVector((0.7, 0.3))
