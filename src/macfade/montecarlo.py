@@ -22,13 +22,11 @@ sums in chunk order, so any parallel split over whole chunks reproduces the
 serial result bit for bit.  The chunk size is therefore part of the stream
 contract, not a tuning knob.
 
-Work is handed out in tasks of consecutive whole chunks, as many as fit
-a 512 KB task buffer (the partial final chunk is a task of its own).
-Each chunk is drawn and allocated user-major, one contiguous row of states
-per user, and writes its r, r^2, p and p^2 columns into the task buffer;
-one ``np.sum`` per task then yields every chunk's column sums.  The sum
-order is the contract that keeps the bytes: for two or more users each
-column is added row by row in sequence, for one user each column is summed
+Each worker owns one (4, m, CHUNK_SIZE) block of r, r^2, p and p^2, and
+takes every workers-th chunk.  A chunk is drawn and allocated user-major,
+one contiguous row of states per user, straight into the block; one
+``np.sum`` over the last axis then yields the chunk's column sums.  The sum
+order is the contract that keeps the bytes: each user's column is summed
 pairwise (numpy's order for a contiguous vector), and the per-chunk
 partials are added in chunk order.
 """
@@ -50,10 +48,6 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 4096
-# A task's buffer holds r, r^2, p and p^2 for every state of its chunks.
-# At 512 KB a 2-user task takes two chunks; 1 MB buffers (four chunks)
-# raised peak memory by about 1 MB more for no clear gain in speed.
-TASK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -111,9 +105,9 @@ def _allocate_chunk(gains: np.ndarray, mu_arr: np.ndarray, lam_arr: np.ndarray,
 
     The maths runs on user-major (m, n) arrays, so it is fastest when each
     column of ``gains`` is contiguous, as ``state_chunk`` lays them out.
-    ``out`` is a (4, m, n) work array: the rates land in out[0] and the
-    powers in out[2], and out[1] and out[3] serve as scratch.  The (n, m)
-    results are views of it.
+    ``out`` is a (4, m, n) work array, or a view of one whose last axis is
+    contiguous: the rates land in out[0] and the powers in out[2], and
+    out[1] and out[3] serve as scratch.  The (n, m) results are views of it.
     """
     g = gains.T
     m, n = g.shape
@@ -169,53 +163,39 @@ def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
     mu_arr, lam_arr = channel.weights(mu).as_array(), channel.prices(lam).as_array()
     sigma2 = channel.sigma2
     m = channel.n_users
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    if not (isinstance(n_samples, int) and n_samples >= 1):
+        raise ValueError(f"n_samples must be an integer of at least 1, not {n_samples!r}")
+    if not (isinstance(seed, int) and 0 <= seed < 1 << 128):
+        raise ValueError(f"seed must be an integer in [0, 2**128), not {seed!r}")
     if not (isinstance(threads, int) and threads >= 1):
         raise ValueError(f"threads must be an integer of at least 1, not {threads!r}")
-    per_task = max(1, TASK_BYTES // (CHUNK_SIZE * 4 * m * 8))
-    full, rest = divmod(n_samples, CHUNK_SIZE)
-    tasks = [range(j, min(j + per_task, full)) for j in range(0, full, per_task)]
-    if rest:
-        tasks.append(range(full, full + 1))
+    n_chunks = -(-n_samples // CHUNK_SIZE)
+    partials = np.empty((n_chunks, 4, m))
+    workers = min(threads, n_chunks)
 
-    def run(chunks):
-        # The sum order of the module docstring: np.sum over axis 0 adds the
-        # rows of a (rows, count, 4m) buffer in sequence.  With one user each
-        # column is kept contiguous instead, and numpy sums it pairwise.
-        rows = min(CHUNK_SIZE, n_samples - chunks.start * CHUNK_SIZE)
-        count = len(chunks)
-        if m == 1:
-            buf = np.empty((count, 4, rows)).transpose(2, 0, 1)
-        else:
-            buf = np.empty((rows, count, 4 * m))
-        block = np.empty((4, m, rows))  # r, r^2, p, p^2 of one chunk, user-major
-        for k, j in enumerate(chunks):
-            gains = state_chunk(channel, seed, j)[:rows]
-            _allocate_chunk(gains, mu_arr, lam_arr, sigma2, out=block)
-            np.multiply(block[0], block[0], out=block[1])
-            np.multiply(block[2], block[2], out=block[3])
-            buf[:, k] = block.reshape(4 * m, rows).T
-        return np.sum(buf, axis=0).reshape(count, 4, m)
+    def run(w):
+        # Worker w reduces chunks w, w + workers, ... in its own block; the
+        # partial final chunk is a slice whose last axis is still contiguous.
+        block = np.empty((4, m, CHUNK_SIZE))  # r, r^2, p, p^2, user-major
+        for j in range(w, n_chunks, workers):
+            rows = min(CHUNK_SIZE, n_samples - j * CHUNK_SIZE)
+            work = block[..., :rows]
+            _allocate_chunk(state_chunk(channel, seed, j)[:rows], mu_arr, lam_arr, sigma2,
+                            out=work)
+            np.multiply(work[0], work[0], out=work[1])
+            np.multiply(work[2], work[2], out=work[3])
+            np.sum(work, axis=2, out=partials[j])
 
-    # Worker w runs every workers-th task from task w.  The calling thread is
-    # worker 0, so a run holds one thread's working memory fewer than a pool
-    # of ``threads`` would.
-    workers = min(threads, len(tasks))
-
-    def share(w):
-        return [run(chunks) for chunks in tasks[w::workers]]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            futures = [pool.submit(share, w) for w in range(1, workers)]
-            shares = [share(0)] + [future.result() for future in futures]
-    else:
-        shares = [share(0)]
+    # The calling thread is worker 0, so a run holds one thread's working
+    # memory fewer than a pool of ``threads`` would; one worker starts none.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run, w) for w in range(1, workers)]
+        run(0)
+        for future in futures:
+            future.result()
     total = 0  # the per-chunk partials, added in chunk order
-    for t in range(len(tasks)):
-        for part in shares[t % workers][t // workers]:
-            total = total + part
+    for part in partials:
+        total = total + part
     sum_r, sum_r2, sum_p, sum_p2 = total
 
     n = float(n_samples)

@@ -28,10 +28,11 @@ the package's crossing and root expressions, so the closed-form
 draws.
 
 ``reference_estimate`` is a frozen copy of the Monte Carlo estimator as it
-ran one chunk at a time: state-major draws, the closed-form allocation on
-(n, m) arrays, four ``np.sum(..., axis=0)`` calls per chunk and partials
-added in chunk order.  It pins every output byte, so ``montecarlo.estimate``
-must equal it with ``==`` however it groups chunks into tasks or threads.
+runs one chunk at a time: state-major draws, the closed-form allocation on
+(n, m) arrays, each user's r, r^2, p and p^2 column summed as one
+contiguous vector (numpy's pairwise order) and partials added in chunk
+order.  It pins every output byte, so ``montecarlo.estimate`` must equal it
+with ``==`` however it splits chunks over threads.
 ``reference_estimate_win_probability`` draws the same stream the same way
 and is the only win-probability estimator: acceptance 5 checks
 ``kernel.win_probability`` against it.
@@ -553,11 +554,14 @@ def reference_estimate(channel, mu, lam, n_samples: int, seed: int):
     sigma2 = channel.sigma2
     m = channel.n_users
 
+    def column_sums(values):
+        return np.array([np.sum(np.ascontiguousarray(col)) for col in values.T])
+
     def sums(gains):
         rates, powers = reference_closed_form_chunk(gains, mu_arr, lam_arr, sigma2)
         return np.stack((
-            np.sum(rates, axis=0), np.sum(rates * rates, axis=0),
-            np.sum(powers, axis=0), np.sum(powers * powers, axis=0),
+            column_sums(rates), column_sums(rates * rates),
+            column_sums(powers), column_sums(powers * powers),
         ))
 
     sum_r, sum_r2, sum_p, sum_p2 = _reference_chunk_sum(channel, seed, n_samples, sums)

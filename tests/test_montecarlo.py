@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,11 +290,50 @@ class TestEstimate:
             results = [estimate(channel, mu, lam, 30_001, 7, threads=t) for t in (1, 2, 3)]
             assert results[0] == results[1] == results[2]
 
+    def test_workers_write_disjoint_partials_under_fast_switching(self):
+        # more workers than cores, switching every microsecond: a worker that
+        # wrote another's chunk row would change the bytes
+        serial = estimate(CH3, MU3, LAM3, 30_001, 9)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = [estimate(CH3, MU3, LAM3, 30_001, 9, threads=5) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result == serial for result in threaded)
+
     @pytest.mark.parametrize("threads", [0, -3, 2.5])
     def test_bad_thread_count_raises(self, threads):
         with pytest.raises(ValueError, match="threads"):
             estimate(CH2, RateAwardVector((0.7, 0.3)), LambdaVector((0.126, 0.0454)),
                      100, 1, threads=threads)
+
+    @pytest.mark.parametrize("n_samples", [2.5, 5000.0, 0])
+    def test_bad_sample_count_raises(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            estimate(CH2, RateAwardVector((0.7, 0.3)), LambdaVector((0.126, 0.0454)),
+                     n_samples, 1)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, 1 << 128])
+    def test_bad_seed_raises(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            estimate(CH2, RateAwardVector((0.7, 0.3)), LambdaVector((0.126, 0.0454)),
+                     5000, seed)
+
+    @pytest.mark.parametrize("threads,limit_kb", [(1, 700), (2, 1400)])
+    def test_one_block_per_worker(self, threads, limit_kb):
+        # a 2-user worker's block is 256 KB; a per-task buffer that every
+        # chunk is copied into (about 1 MB a worker) shows as a higher peak
+        mu = RateAwardVector((0.7, 0.3))
+        lam = LambdaVector((0.126, 0.0454))
+        estimate(CH2, mu, lam, 5000, 1, threads=threads)  # first-call caches
+        tracemalloc.start()
+        try:
+            estimate(CH2, mu, lam, 1 << 18, 1, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_kb * 1024
 
     def test_partial_final_chunk(self):
         mu = RateAwardVector((0.7, 0.3))
@@ -333,7 +374,7 @@ MC_CASES = {
 
 
 class TestReferenceEstimator:
-    """The task-grouped estimator against the one-chunk-at-a-time reference."""
+    """The threaded block estimator against the one-chunk-at-a-time reference."""
 
     @pytest.mark.parametrize("n_samples", [1, 4095, 4096, 4097, 30_001, 1 << 18])
     @pytest.mark.parametrize("case", MC_CASES)
