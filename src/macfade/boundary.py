@@ -89,6 +89,16 @@ def rate_point(mu, lam, channel: ChannelConfig,
     return rates
 
 
+def check_grid(n_users: int, resolution: int, mu_min: float) -> None:
+    """Raise ``ValueError``, led by the argument's name, unless ``resolution`` is an int (not
+    a bool) of at least ``n_users`` and ``mu_min`` a number in (0, 1/resolution]; O(1)."""
+    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < n_users:
+        raise ValueError(f"resolution must be an integer >= n_users = {n_users}, not {resolution!r}")
+    if (isinstance(mu_min, bool) or not isinstance(mu_min, (int, float))
+            or not 0.0 < mu_min <= 1.0 / resolution):
+        raise ValueError(f"mu_min must be a number in (0, 1/resolution], not {mu_min!r}")
+
+
 def simplex_grid(n_users: int, resolution: int, mu_min: float = DEFAULT_MU_MIN) -> list:
     """Uniform lattice of weight vectors strictly inside the simplex.
 
@@ -97,11 +107,7 @@ def simplex_grid(n_users: int, resolution: int, mu_min: float = DEFAULT_MU_MIN) 
     Points come out in lexicographic order, which keeps simplex neighbors
     adjacent for warm starting.
     """
-    if resolution < n_users:
-        raise ValueError("resolution must be at least the user count")
-    if 1.0 / resolution < mu_min:
-        raise ValueError("grid resolution puts weights below the mu_min margin")
-
+    check_grid(n_users, resolution, mu_min)
     # stars and bars: the k_i are the gaps between n_users - 1 cuts in 1..resolution-1
     return [
         RateAwardVector(tuple((b - a) / resolution

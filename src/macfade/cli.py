@@ -18,10 +18,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
-from .boundary import DEFAULT_MU_MIN, compare_modes, rate_point, simplex_grid, sweep
+from .boundary import DEFAULT_MU_MIN, check_grid, compare_modes, rate_point, simplex_grid, sweep
 from .fading import ExponentialGain, PiecewiseLinearEmpirical, UniformGain
 from .kernel import (
     CdfMode,
@@ -29,7 +28,7 @@ from .kernel import (
     RateAwardVector,
     UserSpec,
 )
-from .montecarlo import estimate
+from .montecarlo import check_run, estimate
 from .quadrature import QuadratureError
 from .solver import SolverError, SolverSettings, solve_lambda
 
@@ -90,20 +89,15 @@ def _no_leftovers(node: dict, path: str):
         raise ConfigError(f"{path}.{next(iter(node))}: unknown field")
 
 
-def _as_float(value, path, positive=False):
+def _as_float(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    out = float(value)
-    if positive and not out > 0.0:
-        raise ConfigError(f"{path}: must be positive")
-    return out
+    return float(value)
 
 
-def _as_int(value, path, minimum=None):
+def _as_int(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be at least {minimum}")
     return value
 
 
@@ -150,8 +144,8 @@ def _parse_mu(node, path, channel: ChannelConfig):
         return _build(path, channel.weights, node)
     if isinstance(node, dict):
         node = dict(node)
-        resolution = _as_int(_take(node, "resolution", path), f"{path}.resolution", minimum=1)
-        mu_min = _as_float(node.pop("mu_min", DEFAULT_MU_MIN), f"{path}.mu_min", positive=True)
+        resolution = _as_int(_take(node, "resolution", path), f"{path}.resolution")
+        mu_min = _as_float(node.pop("mu_min", DEFAULT_MU_MIN), f"{path}.mu_min")
         _no_leftovers(node, path)
         return GridSpec(resolution, mu_min)
     raise ConfigError(f"{path}: expected a weight list or a grid object")
@@ -172,21 +166,22 @@ def _as_path(value, path):
     return value
 
 
+_MODES = ("corrected", "naive", "both")  # the choices of the config and of --mode
+_UNITS = ("nats", "bits")
 # Every option besides the channel and mu: (section, key, RunConfig field,
 # default, parser), with section None at the top level.  Parsers check the
-# type and the CLI's own ranges; the solver and quadrature ranges are
-# SolverSettings' to check.
+# type and the choice only; the library checks ranges (``_check_ranges``).
 _OPTIONS = (
     ("solver", "power_rel_tol", "power_rel_tol", SolverSettings.power_rel_tol, _as_float),
     ("solver", "max_outer_iters", "max_outer_iters", SolverSettings.max_outer_iters, _as_int),
     ("solver", "bracket_growth", "bracket_growth", SolverSettings.bracket_growth, _as_float),
     ("quadrature", "outer_abs_tol", "outer_abs_tol", SolverSettings.quad_abs_tol, _as_float),
     ("quadrature", "tail_epsilon", "tail_epsilon", SolverSettings.tail_epsilon, _as_float),
-    ("mc", "n_samples", "mc_samples", 1_000_000, partial(_as_int, minimum=1)),
-    ("mc", "seed", "mc_seed", 12345, partial(_as_int, minimum=0)),
-    (None, "mode", "mode", "corrected", _one_of("corrected", "naive", "both")),
-    (None, "units", "units", "nats", _one_of("nats", "bits")),
-    (None, "threads", "threads", 1, partial(_as_int, minimum=1)),
+    ("mc", "n_samples", "mc_samples", 1_000_000, _as_int),
+    ("mc", "seed", "mc_seed", 12345, _as_int),
+    (None, "mode", "mode", "corrected", _one_of(*_MODES)),
+    (None, "units", "units", "nats", _one_of(*_UNITS)),
+    (None, "threads", "threads", 1, _as_int),
     (None, "output", "output", None, _as_path),
 )
 _SETTINGS_NAMES = {"outer_abs_tol": "quad_abs_tol"}  # RunConfig -> SolverSettings field
@@ -194,6 +189,11 @@ _SETTINGS_NAMES = {"outer_abs_tol": "quad_abs_tol"}  # RunConfig -> SolverSettin
 
 def _option_path(section, key) -> str:
     return key if section is None else f"{section}.{key}"
+
+
+_LIBRARY_PATHS = {"resolution": "mu.resolution", "mu_min": "mu.mu_min",  # arg -> config path
+                  **{_SETTINGS_NAMES.get(key, key): _option_path(section, key)
+                     for section, key, _, _, _ in _OPTIONS}}
 
 
 def parse_config(data: dict, base_dir: Path) -> RunConfig:
@@ -224,14 +224,19 @@ def parse_config(data: dict, base_dir: Path) -> RunConfig:
         values[field] = parse(nodes[section].pop(key, default), _option_path(section, key))
     for section, node in nodes.items():
         _no_leftovers(node, section or "config")
-    cfg = RunConfig(channel=channel, mu=mu, **values)
+    return _check_ranges(RunConfig(channel=channel, mu=mu, **values))
+
+
+def _check_ranges(cfg: RunConfig) -> RunConfig:
+    """``cfg``, or ConfigError ``<config path>: <reason>`` from a library range check."""
     try:
+        if isinstance(cfg.mu, GridSpec):
+            check_grid(cfg.channel.n_users, cfg.mu.resolution, cfg.mu.mu_min)
+        check_run(cfg.mc_samples, cfg.mc_seed, cfg.threads)
         _solver_settings(cfg, CdfMode.CORRECTED)
-    except ValueError as exc:  # SolverSettings' messages lead with the field's name
+    except ValueError as exc:
         name, _, reason = str(exc).partition(" ")
-        section, key = next((section, key) for section, key, field, _, _ in _OPTIONS
-                            if _SETTINGS_NAMES.get(field, field) == name)
-        raise ConfigError(f"{_option_path(section, key)}: {reason}") from exc
+        raise ConfigError(f"{_LIBRARY_PATHS[name]}: {reason}") from exc
     return cfg
 
 
@@ -265,16 +270,8 @@ def dump_config(cfg: RunConfig) -> str:
         mu_node: object = list(cfg.mu.mu)
     else:
         mu_node = {"resolution": cfg.mu.resolution, "mu_min": cfg.mu.mu_min}
-    doc = {
-        "channel": {
-            "sigma2": cfg.channel.sigma2,
-            "users": [
-                {"fading": _fading_to_dict(u.fading), "pbar": u.pbar}
-                for u in cfg.channel.users
-            ],
-        },
-        "mu": mu_node,
-    }
+    users = [{"fading": _fading_to_dict(u.fading), "pbar": u.pbar} for u in cfg.channel.users]
+    doc = {"channel": {"sigma2": cfg.channel.sigma2, "users": users}, "mu": mu_node}
     for section, key, field, _, _ in _OPTIONS:
         (doc if section is None else doc.setdefault(section, {}))[key] = getattr(cfg, field)
     return json.dumps(doc, indent=2)
@@ -341,10 +338,7 @@ def cmd_boundary(cfg: RunConfig) -> int:
         raise ConfigError("mu: the boundary command needs a grid spec "
                           "{'resolution': ..., 'mu_min': ...}")
     m = cfg.channel.n_users
-    try:
-        grid = simplex_grid(m, cfg.mu.resolution, cfg.mu.mu_min)
-    except ValueError as exc:
-        raise ConfigError(f"mu: {exc}") from exc
+    grid = simplex_grid(m, cfg.mu.resolution, cfg.mu.mu_min)
     scale = _rate_scale(cfg)
     header = (["mode"]
               + [f"mu_{i + 1}" for i in range(m)]
@@ -446,10 +440,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
         cmd.add_argument("--output", help="write the CSV here instead of stdout")
-        cmd.add_argument("--mode", choices=["corrected", "naive", "both"],
-                         help="override the config mode")
-        cmd.add_argument("--units", choices=["nats", "bits"],
-                         help="override the config rate units")
+        cmd.add_argument("--mode", choices=_MODES, help="override the config mode")
+        cmd.add_argument("--units", choices=_UNITS, help="override the config rate units")
         cmd.add_argument("--threads", type=int, help="override the config thread count")
         cmd.add_argument("--dump-config", action="store_true",
                          help="print the effective config as JSON and exit")
@@ -458,9 +450,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     """``cfg`` with the top-level options given on the command line, checked alike."""
-    return replace(cfg, **{field: parse(getattr(args, key), key)
-                           for section, key, field, _, parse in _OPTIONS
-                           if section is None and getattr(args, key) is not None})
+    return _check_ranges(replace(cfg, **{field: parse(getattr(args, key), key)
+                                         for section, key, field, _, parse in _OPTIONS
+                                         if section is None and getattr(args, key) is not None}))
 
 
 def main(argv=None) -> int:

@@ -154,6 +154,18 @@ def _allocate_chunk(gains: np.ndarray, mu_arr: np.ndarray, lam_arr: np.ndarray,
     return rates.T, powers.T
 
 
+def check_run(n_samples: int, seed: int, threads: int) -> None:
+    """Raise ``ValueError``, led by the argument's name, unless each is an int (not a
+    bool), n_samples and threads are at least 1 and seed is in [0, 2**128), Philox's keys."""
+    for name, value, low in (("n_samples", n_samples, 1), ("seed", seed, 0), ("threads", threads, 1)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, not {value}")
+    if seed >= 1 << 128:
+        raise ValueError(f"seed must be below 2**128, not {seed}")
+
+
 def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
              threads: int = 1) -> McEstimate:
     """Sample means and standard errors of per-user rates and transmit powers.
@@ -163,12 +175,7 @@ def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
     mu_arr, lam_arr = channel.weights(mu).as_array(), channel.prices(lam).as_array()
     sigma2 = channel.sigma2
     m = channel.n_users
-    if not (isinstance(n_samples, int) and n_samples >= 1):
-        raise ValueError(f"n_samples must be an integer of at least 1, not {n_samples!r}")
-    if not (isinstance(seed, int) and 0 <= seed < 1 << 128):
-        raise ValueError(f"seed must be an integer in [0, 2**128), not {seed!r}")
-    if not (isinstance(threads, int) and threads >= 1):
-        raise ValueError(f"threads must be an integer of at least 1, not {threads!r}")
+    check_run(n_samples, seed, threads)
     n_chunks = -(-n_samples // CHUNK_SIZE)
     partials = np.empty((n_chunks, 4, m))
     workers = min(threads, n_chunks)

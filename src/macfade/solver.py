@@ -87,12 +87,7 @@ class SolverResult:
 
 
 class SolverError(RuntimeError):
-    """Newton steps exhausted or stalled; carries the last iterate and its residuals."""
-
-    def __init__(self, message, lam=None, residuals=None):
-        super().__init__(message)
-        self.lam = lam
-        self.residuals = residuals
+    """Newton steps exhausted or stalled; the message ends with the last prices and residuals."""
 
 
 def achieved_power(i: int, mu, lam, channel: ChannelConfig,
@@ -265,9 +260,8 @@ def _solve(a, b):
 
 
 def _stalled(reason, x, r) -> SolverError:
-    residuals = tuple(r.tolist())
-    return SolverError(f"{reason}; last residuals {residuals}",
-                       lam=LambdaVector(tuple(np.exp(x))), residuals=residuals)
+    return SolverError(f"{reason} at lam={tuple(np.exp(x).tolist())}; "
+                       f"last residuals {tuple(r.tolist())}")
 
 
 def _line_search(residuals, x, r, step, search):

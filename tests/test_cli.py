@@ -2,11 +2,18 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import macfade
+from macfade.boundary import simplex_grid
 from macfade.cli import (
+    _OPTIONS,
     ConfigError,
     GridSpec,
     RunConfig,
@@ -16,7 +23,8 @@ from macfade.cli import (
     parse_config,
 )
 from macfade.fading import ExponentialGain, PiecewiseLinearEmpirical, UniformGain
-from macfade.kernel import RateAwardVector
+from macfade.kernel import ChannelConfig, RateAwardVector, UserSpec
+from macfade.montecarlo import estimate
 
 
 BASE_CONFIG = {
@@ -339,3 +347,97 @@ class TestDumpConfig:
         assert main(["solve", "--config", path, "--dump-config"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["mu"][0] == 1.0 / 3.0
+
+
+# The bad-config matrix: every option of ``cli._OPTIONS`` plus the two grid
+# keys, each tried as a bool, as a wrong type (chosen by its default's type)
+# and at each edge of its range.  The values must fail when the config loads,
+# whatever the command, and the library's owner check must refuse the same
+# values for the five the library range-checks.
+WRONG_TYPES = {float: ["0.5"], int: [1.5, "1"], str: [1], type(None): [1]}
+RANGE_EDGES = {
+    "solver.power_rel_tol": [0.0],
+    "solver.max_outer_iters": [0],
+    "solver.bracket_growth": [1.0],
+    "quadrature.outer_abs_tol": [0.0],
+    "quadrature.tail_epsilon": [0.0, 1.0],
+    "mc.n_samples": [0],
+    "mc.seed": [-1, 2**128],
+    "mode": ["sideways"],
+    "units": ["dB"],
+    "threads": [0],
+    "mu.resolution": [1],  # below the two users of BASE_CONFIG
+    "mu.mu_min": [0.0, 0.2],  # 0.2 exceeds 1/resolution = 0.1
+}
+GRID = {"resolution": 10, "mu_min": 0.001}
+FIELDS = ([(key if section is None else f"{section}.{key}", default)
+           for section, key, _, default, _ in _OPTIONS]
+          + [(f"mu.{key}", default) for key, default in GRID.items()])
+BAD_VALUES = [(path, value) for path, default in FIELDS
+              for value in [True, *WRONG_TYPES[type(default)], *RANGE_EDGES.get(path, [])]]
+LIBRARY_ARGS = {"mc.n_samples": "n_samples", "mc.seed": "seed", "threads": "threads",
+                "mu.resolution": "resolution", "mu.mu_min": "mu_min"}
+COMMANDS = (["solve"], ["boundary"], ["verify-mc"], ["compare"], ["solve", "--dump-config"])
+
+
+def bad_config(tmp_path, path, value):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    section, _, key = path.rpartition(".")
+    if section == "mu":
+        doc["mu"] = {**GRID, key: value}
+    else:
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    return str(config)
+
+
+def matrix_id(case):
+    path, value = case
+    return f"{path}={value!r}"
+
+
+def test_bad_value_matrix_covers_every_range_edge():
+    assert set(RANGE_EDGES) <= {path for path, _ in FIELDS}
+    assert set(LIBRARY_ARGS) <= set(RANGE_EDGES)
+
+
+@pytest.mark.parametrize("case", BAD_VALUES, ids=matrix_id)
+def test_bad_value_fails_at_load_in_every_command(tmp_path, capsys, case):
+    path, value = case
+    config = bad_config(tmp_path, path, value)
+    for command in COMMANDS:
+        assert main([*command, "--config", config]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.err.startswith(f"config error: {path}: "), captured.err
+
+
+TWO_USERS = ChannelConfig(1.0, (UserSpec(ExponentialGain(1.0), 1.0),
+                                UserSpec(ExponentialGain(1.0), 1.0)))
+
+
+@pytest.mark.parametrize("case", [case for case in BAD_VALUES if case[0] in LIBRARY_ARGS],
+                         ids=matrix_id)
+def test_library_owner_refuses_the_same_value(case):
+    path, value = case
+    name = LIBRARY_ARGS[path]
+    with pytest.raises(ValueError, match=f"^{name} "):
+        if path.startswith("mu."):
+            simplex_grid(2, **{**GRID, name: value})
+        else:
+            estimate(TWO_USERS, (0.7, 0.3), (0.126, 0.0454),
+                     **{"n_samples": 100, "seed": 1, "threads": 1, name: value})
+
+
+def test_module_entry_reports_a_seed_out_of_range_without_traceback(tmp_path):
+    config = write_config(tmp_path, {"mc": {"n_samples": 100_000, "seed": 2**128}})
+    src = str(Path(macfade.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "macfade", "verify-mc", "--config", config],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: mc.seed:"), proc.stderr
+    assert "Traceback" not in proc.stderr
