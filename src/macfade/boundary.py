@@ -66,17 +66,12 @@ class BoundaryPoint:
 
 
 def _rate_point_detailed(mu, lam, channel, mode, tol, tail_eps):
-    rates = []
-    errors = []
+    rates, errors = [0.0] * channel.n_users, [0.0] * channel.n_users
     for i in range(channel.n_users):
         req = outer_request(rate_integrand, i, mu, lam, channel, mode, tol, tail_eps)
-        if req is None:
-            rates.append(0.0)
-            errors.append(0.0)
-            continue
-        result = integrate_or_raise(req)
-        rates.append(float(result.values[0]))
-        errors.append(float(result.error_estimates[0]))
+        if req is not None:
+            result = integrate_or_raise(req)
+            rates[i], errors[i] = float(result.values[0]), float(result.error_estimates[0])
     return tuple(rates), tuple(errors)
 
 
@@ -90,8 +85,10 @@ def rate_point(mu, lam, channel: ChannelConfig,
 
 
 def check_grid(n_users: int, resolution: int, mu_min: float) -> None:
-    """Raise ``ValueError``, led by the argument's name, unless ``resolution`` is an int (not
-    a bool) of at least ``n_users`` and ``mu_min`` a number in (0, 1/resolution]; O(1)."""
+    """Raise ``ValueError``, led by the argument's name, unless ``n_users`` and ``resolution``
+    are ints (not bools), 1 <= n_users <= resolution, and ``mu_min`` is in (0, 1/resolution]."""
+    if isinstance(n_users, bool) or not isinstance(n_users, int) or n_users < 1:
+        raise ValueError(f"n_users must be a positive integer, not {n_users!r}")
     if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < n_users:
         raise ValueError(f"resolution must be an integer >= n_users = {n_users}, not {resolution!r}")
     if (isinstance(mu_min, bool) or not isinstance(mu_min, (int, float))

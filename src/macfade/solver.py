@@ -9,14 +9,14 @@ both CDF modes:
 - the Jacobian starts as a forward difference (step 1e-4 in x, full
   quadrature tolerance) or as a neighbouring solve's final matrix, and
   takes a Broyden rank-one update after every accepted step;
-- each step is capped so no price moves by more than ``bracket_growth``,
-  and halved until the largest residual falls; a line search failing on an
-  updated or carried Jacobian is retried once on a fresh forward difference;
-- a starved user, spending under 1% of its budget, lowers its own price by
-  the full ``bracket_growth`` factor.  Its Jacobian row is zero (power
-  exactly 0, r = -1) or too small to difference, so such steps skip the
-  line search, and the Jacobian is measured afresh once the user spends
-  power again.
+- each step is capped so no price moves by more than ``bracket_growth``;
+  a starved user, spending under 1% of its budget, has a zero or tiny
+  Jacobian row and lowers its own price by the full factor, and the
+  Jacobian is measured afresh once it spends again;
+- every step, starved users' too, is halved along its price segment until
+  the slope of the convex dual g(lam) = sum mu_i R_i - lam.(P - pbar) is at
+  most half its start value; an uphill step, or a failed search on an
+  updated or carried Jacobian, is retried once on a fresh forward difference.
 
 Convergence is declared only when every residual, evaluated at the full
 quadrature tolerance, is inside 0.95 ``power_rel_tol``; the returned
@@ -122,21 +122,19 @@ def solve_lambda(mu, channel: ChannelConfig,
                  initial_lambda=None, initial_jacobian=None) -> SolverResult:
     """Solve for the unique price vector meeting every average power budget.
 
-    Damped Newton-Broyden steps in log price; convergence is declared only
-    when every residual is inside tolerance at full quadrature precision.
-    Pass ``initial_lambda`` and ``initial_jacobian`` (m x m, d r / d log lam)
-    to warm-start from a neighbour's solution; the forward difference is
-    then taken only when a line search fails or a starved user revives.  A
+    Damped Newton-Broyden steps in log price, each accepted by one line
+    search on the dual's slope; convergence is declared only when every
+    residual is inside tolerance at full quadrature precision.  Pass
+    ``initial_lambda`` and ``initial_jacobian`` (m x m, d r / d log lam) to
+    warm-start from a neighbour's solution; the forward difference is then
+    taken only when a line search fails or a starved user revives.  A
     ``QuadratureError`` is raised again with the step, iterate and residuals.
     """
-    if settings is None:
-        settings = SolverSettings()
+    settings = SolverSettings() if settings is None else settings
     mu = channel.weights(mu)
     m = channel.n_users
-    if initial_lambda is None:
-        lam0 = [_cold_price(i, mu, channel) for i in range(m)]
-    else:
-        lam0 = channel.prices(initial_lambda).lam
+    lam0 = ([_cold_price(i, mu, channel) for i in range(m)] if initial_lambda is None
+            else channel.prices(initial_lambda).lam)
     # measured lazily, and again whenever a starved user revives
     jac = None if initial_jacobian is None else np.array(initial_jacobian, dtype=float)
     if jac is not None and (jac.shape != (m, m) or not np.isfinite(jac).all()):
@@ -168,9 +166,8 @@ def solve_lambda(mu, channel: ChannelConfig,
         return r
 
     def fd_jacobian(x, r, live):
-        # Only the live block is measured.  A starved user's power is too
-        # small to difference and barely moves a rival: its row and column
-        # stay zero.
+        # Only the live block is measured: a starved user's power is too small
+        # to difference and barely moves a rival, so its row and column stay 0.
         users = np.flatnonzero(live).tolist()
         jac = np.zeros((m, m))
         for j in users:
@@ -197,7 +194,7 @@ def solve_lambda(mu, channel: ChannelConfig,
         while True:
             step = _capped_step(jac, r, live, max_log_step)
             if step is not None:
-                x_new, r_new = _line_search(residuals, x, r, step, search=live.all())
+                x_new, r_new = _line_search(residuals, x, r, step, pbar)
                 if x_new is not None:
                     break
             if fresh:
@@ -264,14 +261,17 @@ def _stalled(reason, x, r) -> SolverError:
                        f"last residuals {tuple(r.tolist())}")
 
 
-def _line_search(residuals, x, r, step, search):
-    """First of x + step, x + step/2, ... whose largest residual is below r's,
-    or (None, None).  Without ``search`` the full step is taken as it is."""
-    worst = np.max(np.abs(r))
-    for _ in range(_MAX_HALVINGS + 1):
-        x_new = x + step
+def _line_search(residuals, x, r, step, pbar):
+    """First of lam + d, lam + d/2, ... (lam = exp(x), d = exp(x + step) - lam) whose dual
+    slope -d.(pbar r) is at most half its size at lam, or (None, None), unevaluated if uphill."""
+    lam = np.exp(x)
+    d = np.exp(x + step) - lam
+    slope = -(d * pbar) @ r
+    if slope >= 0.0:
+        return None, None
+    for k in range(_MAX_HALVINGS + 1):
+        x_new = x + step if k == 0 else np.log(lam + d / 2.0 ** k)
         r_new = residuals(x_new)
-        if not search or np.max(np.abs(r_new)) < worst:
+        if -(d * pbar) @ r_new <= -0.5 * slope:
             return x_new, r_new
-        step = step / 2.0
     return None, None

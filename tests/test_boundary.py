@@ -121,6 +121,11 @@ class TestSimplexGrid:
         with pytest.raises(ValueError):
             simplex_grid(2, 10, mu_min=0.5)
 
+    @pytest.mark.parametrize("n_users, resolution", [(0, 0), (0, 1), (-1, 3), (True, 3)])
+    def test_user_count_is_named(self, n_users, resolution):
+        with pytest.raises(ValueError, match="^n_users "):
+            simplex_grid(n_users, resolution)
+
 
 class TestSweep:
     def test_two_user_sweep_traces_concave_boundary(self):

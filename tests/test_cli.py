@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import macfade
+from macfade import solver
 from macfade.boundary import simplex_grid
 from macfade.cli import (
     _OPTIONS,
@@ -25,6 +27,7 @@ from macfade.cli import (
 from macfade.fading import ExponentialGain, PiecewiseLinearEmpirical, UniformGain
 from macfade.kernel import ChannelConfig, RateAwardVector, UserSpec
 from macfade.montecarlo import estimate
+from macfade.quadrature import _EVALS_PER_RULE, integrate_or_raise
 
 
 BASE_CONFIG = {
@@ -179,14 +182,20 @@ class TestExitCodes:
         assert main(["solve", "--config", path]) == 2
         assert capsys.readouterr().err.count("last residuals") == 1
 
-    def test_quadrature_failure_names_its_layer_once(self, tmp_path, capsys):
-        # Two narrow uniform laws at the default tolerances: the cold solve
-        # reaches prices whose outer power window is about 1e6 long, and
-        # that outer integral spends its budget above tolerance.
-        uniform = [{"fading": {"kind": "uniform", "low": lo, "high": hi}, "pbar": 1.0}
-                   for lo, hi in ((1.0, 1.001), (0.999, 1.0))]
-        path = write_config(tmp_path, {"channel": {"sigma2": 1.0, "users": uniform},
-                                       "mu": [0.5, 0.5], "solver": None, "quadrature": None})
+    def test_quadrature_failure_names_its_layer_once(self, tmp_path, capsys, monkeypatch):
+        # The fourth outer power integral, user 1's at the first Newton
+        # step's trial prices, gets one rule's budget and a tolerance it
+        # cannot meet.
+        calls = []
+
+        def starved_fourth(req):
+            calls.append(req)
+            if len(calls) == 4:
+                req = dataclasses.replace(req, abs_tol=1e-300, max_evals=_EVALS_PER_RULE)
+            return integrate_or_raise(req)
+
+        monkeypatch.setattr(solver, "integrate_or_raise", starved_fourth)
+        path = write_config(tmp_path, {"solver": None, "quadrature": None})
         assert main(["solve", "--config", path]) == 2
         err = capsys.readouterr().err
         assert err.count("did not converge") == 1
@@ -205,6 +214,23 @@ class TestExitCodes:
 
 
 class TestSolveCommand:
+    @pytest.mark.parametrize("mode", ["corrected", "naive"])
+    def test_narrow_uniform_laws_solve(self, tmp_path, capsys, mode):
+        # Two nearly equal narrow uniform laws: the starved-user steps once
+        # let the users take turns at spending nothing until an outer
+        # integral ran out of budget.
+        out = tmp_path / "solve.csv"
+        uniform = [{"fading": {"kind": "uniform", "low": lo, "high": hi}, "pbar": 1.0}
+                   for lo, hi in ((1.0, 1.001), (0.999, 1.0))]
+        path = write_config(tmp_path, {"channel": {"sigma2": 1.0, "users": uniform},
+                                       "mu": [0.5, 0.5], "solver": None, "quadrature": None,
+                                       "mode": mode, "output": str(out)})
+        assert main(["solve", "--config", path]) == 0
+        capsys.readouterr()
+        rows = read_csv(out)
+        assert [r["mode"] for r in rows] == [mode, mode]
+        assert all(abs(float(r["residual_rel"])) <= 1e-6 for r in rows)
+
     def test_stderr_counts_newton_steps(self, tmp_path, capsys):
         path = write_config(tmp_path, {"output": str(tmp_path / "solve.csv")})
         assert main(["solve", "--config", path]) == 0

@@ -208,6 +208,16 @@ class TestSolveLambda:
         for x, y in zip(result.lam.lam, reference.lam.lam):
             assert abs(x - y) / y <= 10.0 * 1e-6
 
+    def test_start_far_on_the_high_power_side(self):
+        # every price 1e-4 on the acceptance-4 channel: the Broyden updates
+        # once crawled here for 117 power integrals
+        channel = expo_channel(3, means=[0.5, 1.0, 2.0])
+        result = solve_lambda(RateAwardVector((0.5, 0.3, 0.2)), channel,
+                              initial_lambda=(1e-4, 1e-4, 1e-4))
+        assert result.power_evals <= 100
+        for res in result.certified_residuals:
+            assert abs(res) <= 1e-6
+
     # the first power integral, one of the first step's forward difference,
     # and the first of the certificate pass
     @pytest.mark.parametrize("where", ["start", "difference", "certificate"])
@@ -264,3 +274,58 @@ def test_small_linear_solve_matches_lapack():
             assert np.allclose(_solve(a.copy(), b.copy()), expected, rtol=1e-10, atol=1e-12)
     assert _solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2)) is None
     assert _solve(np.zeros((3, 3)), np.ones(3)) is None
+
+
+class TestLineSearch:
+    """``_line_search`` against a fake residual map, with pbar = (2, 0.5)."""
+
+    PBAR = [2.0, 0.5]
+    X = np.log([0.3, 0.05])
+    R = np.array([0.4, 0.2])  # both users overspend: lowering prices is uphill
+
+    def search(self, step, answers):
+        seen = []
+
+        def residuals(x):
+            seen.append(x)
+            return answers(len(seen))
+
+        return solver._line_search(residuals, self.X, self.R, np.array(step), self.PBAR), seen
+
+    def test_uphill_step_fails_without_an_evaluation(self):
+        (x_new, r_new), seen = self.search([-0.5, -1.0], lambda k: -self.R)
+        assert x_new is None and r_new is None
+        assert seen == []
+
+    def test_full_step_evaluates_x_plus_step_exactly(self):
+        step = np.array([1.3, -0.2])
+        (x_new, r_new), seen = self.search(step, lambda k: 0.1 * self.R)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], self.X + step)
+        assert np.array_equal(x_new, self.X + step)
+        assert np.array_equal(r_new, 0.1 * self.R)
+
+    def test_halved_points_lie_on_the_price_segment(self):
+        # the far end lowers user 2's price 20-fold and raises user 1's
+        lam = np.exp(self.X)
+        step = np.array([0.7, -3.0])
+        d = np.exp(self.X + step) - lam
+        slope0 = -(d * self.PBAR) @ self.R
+        assert slope0 < 0.0
+
+        # overshoot (the slope turns to 3 |slope0|) until the fourth trial point
+        def answers(k):
+            return -3.0 * self.R if k < 4 else 0.5 * self.R
+
+        (x_new, r_new), seen = self.search(step, answers)
+        assert len(seen) == 4
+        for k, x in enumerate(seen):
+            assert (np.exp(x) > 0.0).all()
+            assert np.allclose(np.exp(x), lam + d / 2.0 ** k, rtol=1e-13, atol=0.0)
+        assert np.array_equal(x_new, seen[-1])
+        assert np.array_equal(r_new, 0.5 * self.R)
+
+    def test_search_gives_up_after_the_last_halving(self):
+        (x_new, r_new), seen = self.search([0.7, -3.0], lambda k: -3.0 * self.R)
+        assert x_new is None and r_new is None
+        assert len(seen) == solver._MAX_HALVINGS + 1
