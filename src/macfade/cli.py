@@ -101,11 +101,17 @@ def _as_int(value, path):
     return value
 
 
+def _as_knot(value, path):
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{path}: expected a [gain, cdf] pair")
+    return tuple(_as_float(x, path) for x in value)
+
+
 def _build(path, make, *args):
-    """``make(*args)``: a library type, whose range checks are reported against ``path``."""
+    """``make(*args)``: a library type, whose complaints are reported against ``path``."""
     try:
         return make(*args)
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -127,15 +133,14 @@ def _parse_fading(node, path, base_dir: Path):
         _no_leftovers(node, path)
         if (knots is None) == (csv_path is None):
             raise ConfigError(f"{path}: give exactly one of 'knots' or 'csv'")
-        try:
-            if csv_path is not None:
-                return PiecewiseLinearEmpirical.from_csv(base_dir / csv_path)
-            pairs = [(float(h), float(F)) for h, F in knots]
-            return PiecewiseLinearEmpirical(
-                tuple(h for h, _ in pairs), tuple(F for _, F in pairs)
-            )
-        except (OSError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        if csv_path is not None:
+            csv_file = base_dir / _as_path(csv_path, f"{path}.csv")
+            return _build(path, PiecewiseLinearEmpirical.from_csv, csv_file)
+        if not isinstance(knots, list):
+            raise ConfigError(f"{path}.knots: expected a list of [gain, cdf] pairs")
+        pairs = [_as_knot(pair, f"{path}.knots[{j}]") for j, pair in enumerate(knots)]
+        return _build(path, PiecewiseLinearEmpirical,
+                      tuple(h for h, _ in pairs), tuple(F for _, F in pairs))
     raise ConfigError(f"{path}.kind: unknown fading kind {kind!r}")
 
 

@@ -27,6 +27,11 @@ the package's crossing and root expressions, so the closed-form
 ``montecarlo._allocate_chunk`` must match them bit for bit on continuous
 draws.
 
+``reference_piecewise_pdf`` and ``reference_piecewise_quantile`` are
+frozen copies of the piecewise-linear law's density and quantile as they
+were before they became segment-table lookups: clipped segment indices and
+an explicit p = 0 branch.  The tables must equal them with ``==``.
+
 ``reference_estimate`` is a frozen copy of the Monte Carlo estimator as it
 runs one chunk at a time: state-major draws, the closed-form allocation on
 (n, m) arrays, each user's r, r^2, p and p^2 column summed as one
@@ -604,3 +609,26 @@ def reference_estimate_win_probability(channel, i, z, mu, lam, n_samples: int, s
     p_hat = _reference_chunk_sum(channel, seed, n_samples, wins) / n_samples
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
     return p_hat, se
+
+
+def reference_piecewise_pdf(h_knots, cdf_knots, arr):
+    """Slope of the piecewise-linear cdf, right-continuous, 0 outside the knots."""
+    h, F = np.asarray(h_knots, dtype=float), np.asarray(cdf_knots, dtype=float)
+    slopes = np.diff(F) / np.diff(h)
+    seg = np.searchsorted(h, arr, side="right") - 1
+    valid = (seg >= 0) & (seg < len(h) - 1)
+    seg = np.clip(seg, 0, len(h) - 2)
+    return np.where(valid, slopes[seg], 0.0)
+
+
+def reference_piecewise_quantile(h_knots, cdf_knots, arr):
+    """Smallest gain whose piecewise-linear cdf reaches p, for p in [0, 1)."""
+    h, F = np.asarray(h_knots, dtype=float), np.asarray(cdf_knots, dtype=float)
+    idx = np.searchsorted(F, arr, side="left")
+    idx = np.minimum(idx, len(F) - 1)
+    i1 = np.maximum(idx, 1)
+    f0, f1 = F[i1 - 1], F[i1]
+    h0, h1 = h[i1 - 1], h[i1]
+    denom = np.where(f1 > f0, f1 - f0, 1.0)
+    interp = h0 + (arr - f0) / denom * (h1 - h0)
+    return np.where(idx == 0, h[0], interp)

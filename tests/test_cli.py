@@ -440,6 +440,32 @@ def test_bad_value_fails_at_load_in_every_command(tmp_path, capsys, case):
         assert captured.err.startswith(f"config error: {path}: "), captured.err
 
 
+# Empirical knots are checked like every other number: each entry is a
+# [gain, cdf] pair of numbers, and a bad one is named by its index.
+BAD_FADING = [
+    ({"knots": [["0", "0"], ["1.5", "1"]]}, "knots[0]: expected a number"),
+    ({"knots": [[0, 0], [True, True]]}, "knots[1]: expected a number"),
+    ({"knots": [[0, 0], [1, 1, 1]]}, "knots[1]: expected a [gain, cdf] pair"),
+    ({"knots": [[0, 0], 1.0]}, "knots[1]: expected a [gain, cdf] pair"),
+    ({"knots": {"h": [0, 1]}}, "knots: expected a list of [gain, cdf] pairs"),
+    ({"csv": 5}, "csv: expected a path string"),
+]
+
+
+@pytest.mark.parametrize("fields, message", BAD_FADING, ids=[
+    "string-knot", "bool-knot", "triple", "scalar-entry", "object-knots", "csv-number"])
+def test_bad_knots_fail_at_load_in_every_command(tmp_path, capsys, fields, message):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["channel"]["users"][1]["fading"] = {"kind": "empirical", **fields}
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    for command in COMMANDS:
+        assert main([*command, "--config", str(config)]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: channel.users[1].fading.{message}\n"
+
+
 TWO_USERS = ChannelConfig(1.0, (UserSpec(ExponentialGain(1.0), 1.0),
                                 UserSpec(ExponentialGain(1.0), 1.0)))
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from macfade.fading import ExponentialGain, PiecewiseLinearEmpirical, UniformGain
 
-from oracles import simpson
+from macfade.cli import ConfigError, load_config
+
+from oracles import reference_piecewise_pdf, reference_piecewise_quantile, simpson
 
 
 PLE_EXAMPLE = PiecewiseLinearEmpirical((0.0, 0.5, 1.5, 4.0), (0.0, 0.3, 0.3, 1.0))
@@ -227,3 +230,65 @@ class TestPiecewiseLinear:
         path.write_text("gain,prob\n0.0,0.0\n1.0,1.0\n")
         with pytest.raises(ValueError, match="header"):
             PiecewiseLinearEmpirical.from_csv(path)
+
+
+class TestNaNRefused:
+    @pytest.mark.parametrize("dist", all_distributions(), ids=lambda d: type(d).__name__)
+    def test_every_public_evaluator_raises_on_nan(self, dist):
+        for value in (math.nan, np.array([0.5, math.nan])):
+            for evaluate in (dist.pdf, dist.cdf, dist.quantile):
+                with pytest.raises(ValueError):
+                    evaluate(value)
+        assert dist.cdf(math.inf) == 1.0
+
+
+# Laws with a plateau, with h[0] > 0 and with h[0] = 0, and two uniforms.
+TABLE_LAWS = [
+    PLE_EXAMPLE,
+    PiecewiseLinearEmpirical((0.2, 0.7, 0.9, 1.4, 3.0), (0.0, 0.0, 0.4, 0.4, 1.0)),
+    PiecewiseLinearEmpirical((0.0, 0.25, 2.0), (0.0, 0.75, 1.0)),
+    UniformGain(0.3, 2.5),
+    UniformGain(0.0, 2.0),
+]
+TABLE_IDS = ["plateau", "offset-plateau", "origin", "uniform-0.3-2.5", "uniform-0-2"]
+
+
+class TestSegmentTables:
+    @pytest.mark.parametrize("dist", TABLE_LAWS, ids=TABLE_IDS)
+    def test_pdf_and_quantile_equal_the_reference_bits(self, dist):
+        rng = np.random.default_rng(11)
+        h, F = dist.h_knots, dist.cdf_knots
+        gains = np.concatenate([rng.uniform(0.0, 1.2 * h[-1], 20_000), h,
+                                np.nextafter(h, -np.inf).clip(0.0), [0.0, math.inf]])
+        ps = np.concatenate([rng.random(20_000), F[:-1], [0.0, np.nextafter(1.0, 0.0)]])
+        generic = PiecewiseLinearEmpirical._quantile_raw
+        assert np.array_equal(dist._pdf_raw(gains), reference_piecewise_pdf(h, F, gains))
+        assert np.array_equal(generic(dist, ps), reference_piecewise_quantile(h, F, ps))
+        assert np.array_equal(dist._quantile_raw(ps), reference_piecewise_quantile(h, F, ps))
+
+    @pytest.mark.parametrize("low, high", [(0.3, 2.5), (0.0, 2.0), (1.0, 1.001)])
+    def test_uniform_is_the_two_knot_law(self, low, high):
+        dist = UniformGain(low, high)
+        two_knot = PiecewiseLinearEmpirical((low, high), (0.0, 1.0))
+        rng = np.random.default_rng(5)
+        ps = np.concatenate([rng.random(50_000), [0.0]])
+        assert np.array_equal(dist._quantile_raw(ps), two_knot._quantile_raw(ps))
+        inside = rng.uniform(low, high, 50_000)
+        inside = inside[(inside >= low) & (inside < high)]
+        assert np.all(dist.pdf(inside) == 1.0 / (high - low))
+        closed = (inside - low) / (high - low)
+        assert np.all(np.abs(dist.cdf(inside) - closed) <= np.spacing(closed))
+        assert dist.kinks() == two_knot.kinks() and dist.tail_point(1e-9) == high
+        assert (dist.low, dist.high) == (low, high)
+
+    @pytest.mark.parametrize("low, high", [(2.0, 1.0), (1.0, 1.0), (-0.5, 1.0), (0.0, math.inf)])
+    def test_uniform_range_message(self, tmp_path, low, high):
+        message = r"require 0 <= low < high, both finite"
+        with pytest.raises(ValueError, match=message):
+            UniformGain(low, high)
+        config = tmp_path / "uniform.json"
+        config.write_text(json.dumps({"channel": {"sigma2": 1.0, "users": [
+            {"fading": {"kind": "uniform", "low": low, "high": high}, "pbar": 1.0}]},
+            "mu": [1.0]}))
+        with pytest.raises(ConfigError, match=r"^channel\.users\[0\]\.fading: " + message):
+            load_config(str(config))
