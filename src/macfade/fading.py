@@ -188,7 +188,10 @@ class PiecewiseLinearEmpirical(FadingDistribution):
 
 
 class UniformGain(PiecewiseLinearEmpirical):
-    """Power gain uniform on [low, high] with 0 <= low < high: the two-knot law."""
+    """Power gain uniform on [low, high] with 0 <= low < high: the two-knot law.
+
+    Its repr rebuilds it; ``dataclasses.replace`` does not support it.
+    """
 
     def __init__(self, low: float, high: float):
         if not (np.isfinite(low) and np.isfinite(high) and 0.0 <= low < high):
@@ -197,6 +200,9 @@ class UniformGain(PiecewiseLinearEmpirical):
 
     low = property(lambda self: self.h_knots[0])
     high = property(lambda self: self.h_knots[1])
+
+    def __repr__(self):
+        return f"UniformGain(low={self.low!r}, high={self.high!r})"
 
     def _quantile_raw(self, arr):
         # The two-knot table lookup's bits without its searchsorted on random

@@ -22,13 +22,14 @@ sums in chunk order, so any parallel split over whole chunks reproduces the
 serial result bit for bit.  The chunk size is therefore part of the stream
 contract, not a tuning knob.
 
-Each worker owns one (4, m, CHUNK_SIZE) block of r, r^2, p and p^2, and
-takes every workers-th chunk.  A chunk is drawn and allocated user-major,
-one contiguous row of states per user, straight into the block; one
-``np.sum`` over the last axis then yields the chunk's column sums.  The sum
-order is the contract that keeps the bytes: each user's column is summed
-pairwise (numpy's order for a contiguous vector), and the per-chunk
-partials are added in chunk order.
+Each worker owns one (4, m, 2, CHUNK_SIZE) block of r, r^2, p and p^2, and
+takes every workers-th pair of chunks, so each numpy call covers two chunks.
+Both chunks are drawn user-major, one contiguous row of states per user,
+straight into the block's p row; one allocation over the block and one
+``np.sum`` over its last axis then yield each chunk's column sums.  The
+sum order is the contract that keeps the bytes: each user's column of a
+chunk is summed pairwise (numpy's order for a contiguous vector), and the
+per-chunk partials are added in chunk order.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 4096
+_PASS_CHUNKS = 2  # chunks a numpy pass covers; four put a 2-user worker at 1.3 MB
 
 
 @dataclass(frozen=True)
@@ -63,17 +65,19 @@ def _chunk_rng(seed: int, chunk_index: int):
     return np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 128))
 
 
-def state_chunk(channel: ChannelConfig, seed: int, chunk_index: int) -> np.ndarray:
+def state_chunk(channel: ChannelConfig, seed: int, chunk_index: int, out=None) -> np.ndarray:
     """Gains (CHUNK_SIZE, n_users) of chunk ``chunk_index`` of the run's stream.
 
     Column k is user k's inverse-cdf transform of its uniform column, and
     each column is contiguous in memory.  Exact zeros (a probability-zero
-    event) are redrawn from the same substream.
+    event) are redrawn from the same substream.  Given an (n_users,
+    CHUNK_SIZE) ``out`` with contiguous rows, the gains go there and the
+    result is its transpose.
     """
     rng = _chunk_rng(seed, chunk_index)
     laws = [user.fading for user in channel.users]
     u = rng.random((CHUNK_SIZE, len(laws)))
-    gains = np.empty((len(laws), CHUNK_SIZE))
+    gains = np.empty((len(laws), CHUNK_SIZE)) if out is None else out
     for k, law in enumerate(laws):
         gains[k] = law._quantile_raw(u[:, k])
     while True:
@@ -108,6 +112,8 @@ def _allocate_chunk(gains: np.ndarray, mu_arr: np.ndarray, lam_arr: np.ndarray,
     ``out`` is a (4, m, n) work array, or a view of one whose last axis is
     contiguous: the rates land in out[0] and the powers in out[2], and
     out[1] and out[3] serve as scratch.  The (n, m) results are views of it.
+    ``gains`` may be out[2].T: the gains are read there until the powers
+    replace them.
     """
     g = gains.T
     m, n = g.shape
@@ -144,8 +150,8 @@ def _allocate_chunk(gains: np.ndarray, mu_arr: np.ndarray, lam_arr: np.ndarray,
     lo, hi = enter, exit_
     np.copyto(lo, 0.0, where=lost)
     np.copyto(hi, 0.0, where=lost)
-    np.subtract(hi, lo, out=powers)
-    np.divide(powers, g, out=powers)
+    np.subtract(hi, lo, out=cost)
+    np.divide(cost, g, out=powers)
     rates = hi
     rates += sigma2
     np.divide(rates, np.add(lo, sigma2, out=lo), out=rates)
@@ -177,21 +183,29 @@ def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
     m = channel.n_users
     check_run(n_samples, seed, threads)
     n_chunks = -(-n_samples // CHUNK_SIZE)
+    n_passes = -(-n_chunks // _PASS_CHUNKS)
     partials = np.empty((n_chunks, 4, m))
-    workers = min(threads, n_chunks)
+    workers = min(threads, n_passes)
 
     def run(w):
-        # Worker w reduces chunks w, w + workers, ... in its own block; the
-        # partial final chunk is a slice whose last axis is still contiguous.
-        block = np.empty((4, m, CHUNK_SIZE))  # r, r^2, p, p^2, user-major
-        for j in range(w, n_chunks, workers):
-            rows = min(CHUNK_SIZE, n_samples - j * CHUNK_SIZE)
-            work = block[..., :rows]
-            _allocate_chunk(state_chunk(channel, seed, j)[:rows], mu_arr, lam_arr, sigma2,
-                            out=work)
+        # Worker w reduces chunk pairs w, w + workers, ... in its own block; the
+        # run's last pass may be a slice whose last axis is still contiguous.
+        block = np.empty((4, m, _PASS_CHUNKS, CHUNK_SIZE))  # r, r^2, p, p^2, user-major
+        flat = block.reshape(4, m, _PASS_CHUNKS * CHUNK_SIZE)
+        for q in range(w, n_passes, workers):
+            chunks = range(q * _PASS_CHUNKS, min(n_chunks, (q + 1) * _PASS_CHUNKS))
+            for c, j in enumerate(chunks):
+                state_chunk(channel, seed, j, out=block[2, :, c])
+            rows = n_samples - chunks.start * CHUNK_SIZE  # more than the block holds but on the last pass
+            work = flat[..., :rows]
+            _allocate_chunk(work[2].T, mu_arr, lam_arr, sigma2, out=work)
             np.multiply(work[0], work[0], out=work[1])
             np.multiply(work[2], work[2], out=work[3])
-            np.sum(work, axis=2, out=partials[j])
+            if rows < flat.shape[2]:  # one sum per chunk of the last pass
+                for c, j in enumerate(chunks):
+                    np.sum(block[:, :, c, :rows - c * CHUNK_SIZE], axis=2, out=partials[j])
+            else:
+                np.sum(block, axis=3, out=partials[chunks.start:chunks.stop].transpose(1, 2, 0))
 
     # The calling thread is worker 0, so a run holds one thread's working
     # memory fewer than a pool of ``threads`` would; one worker starts none.
@@ -203,23 +217,11 @@ def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
     total = 0  # the per-chunk partials, added in chunk order
     for part in partials:
         total = total + part
-    sum_r, sum_r2, sum_p, sum_p2 = total
 
     n = float(n_samples)
-    mean_r = sum_r / n
-    mean_p = sum_p / n
+    mean = total[0::2] / n  # rates, powers
     if n_samples > 1:
-        var_r = np.maximum(sum_r2 - n * mean_r**2, 0.0) / (n - 1.0)
-        var_p = np.maximum(sum_p2 - n * mean_p**2, 0.0) / (n - 1.0)
-        se_r = np.sqrt(var_r / n)
-        se_p = np.sqrt(var_p / n)
+        se = np.sqrt(np.maximum(total[1::2] - n * mean**2, 0.0) / (n - 1.0) / n)
     else:
-        se_r = np.full(m, np.nan)
-        se_p = np.full(m, np.nan)
-    return McEstimate(
-        rates=tuple(mean_r),
-        powers=tuple(mean_p),
-        rate_se=tuple(se_r),
-        power_se=tuple(se_p),
-        n_samples=n_samples,
-    )
+        se = np.full((2, m), np.nan)
+    return McEstimate(*(tuple(row) for row in (*mean, *se)), n_samples=n_samples)

@@ -327,6 +327,15 @@ class TestVerifyMcCommand:
         worst = max(abs(float(r["z_score"])) for r in rows)
         assert worst > 4.0
 
+    def test_thread_count_keeps_stdout_bytes(self, tmp_path, capsys):
+        # 100,000 states: twelve full two-chunk passes and one partial pass
+        path = write_config(tmp_path)
+        printed = []
+        for threads in ("1", "2"):
+            assert main(["verify-mc", "--config", path, "--threads", threads]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] and printed[0] == printed[1]
+
     def test_equal_weights_naive_passes(self, tmp_path, capsys):
         out = tmp_path / "vmc_eq.csv"
         path = write_config(tmp_path, {"mode": "naive", "mu": [0.5, 0.5],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -280,6 +281,15 @@ class TestSegmentTables:
         assert np.all(np.abs(dist.cdf(inside) - closed) <= np.spacing(closed))
         assert dist.kinks() == two_knot.kinks() and dist.tail_point(1e-9) == high
         assert (dist.low, dist.high) == (low, high)
+
+    @pytest.mark.parametrize("low, high", [(0.3, 2.5), (0.0, 2.0), (1.0, 1.001)])
+    def test_uniform_repr_rebuilds_the_law(self, low, high):
+        dist = UniformGain(low, high)
+        assert repr(dist) == f"UniformGain(low={low!r}, high={high!r})"
+        rebuilt = eval(repr(dist))
+        assert rebuilt == dist and type(rebuilt) is UniformGain
+        with pytest.raises(TypeError):  # __init__ takes low and high, not the knots
+            dataclasses.replace(dist, h_knots=(0.1, 1.0))
 
     @pytest.mark.parametrize("low, high", [(2.0, 1.0), (1.0, 1.0), (-0.5, 1.0), (0.0, math.inf)])
     def test_uniform_range_message(self, tmp_path, low, high):

@@ -376,7 +376,10 @@ MC_CASES = {
 class TestReferenceEstimator:
     """The threaded block estimator against the one-chunk-at-a-time reference."""
 
-    @pytest.mark.parametrize("n_samples", [1, 4095, 4096, 4097, 30_001, 1 << 18])
+    # 8191 ends the one two-chunk pass a state short; 8193 and 3 * 8192 + 1 put one state
+    # into a last pass after one and three full passes
+    @pytest.mark.parametrize("n_samples", [1, 4095, 4096, 4097, 8191, 8193, 3 * 8192 + 1,
+                                           30_001, 1 << 18])
     @pytest.mark.parametrize("case", MC_CASES)
     def test_equals_reference_bit_for_bit(self, case, n_samples):
         channel, mu, lam = MC_CASES[case]
@@ -445,6 +448,18 @@ class TestStateChunk:
         assert np.all(gains > 0.0)
         # column marginals look exponential: mean within 5 standard errors
         assert abs(float(gains[:, 0].mean()) - 1.0) <= 5.0 / math.sqrt(4096)
+
+    @pytest.mark.parametrize("channel,seed", [(CH3, 123), (CH_ZERO, 5)], ids=["ch3", "redraw"])
+    def test_out_holds_the_transposed_gains(self, channel, seed):
+        # out is one chunk's row of a two-chunk block, as the estimator passes it
+        block = np.full((4, channel.n_users, 2, 4096), np.nan)
+        out = block[2, :, 1]
+        for index in range(3):  # chunk 0 of CH_ZERO's seed 5 redraws zeros
+            result = state_chunk(channel, seed, index, out=out)
+            assert np.array_equal(out, state_chunk(channel, seed, index).T)
+            assert np.shares_memory(result, out) and np.array_equal(result, out.T)
+        block[2, :, 1] = np.nan
+        assert np.all(np.isnan(block))  # nothing outside out was written
 
     def test_fading_state_validation(self):
         with pytest.raises(ValueError):

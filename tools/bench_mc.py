@@ -1,0 +1,106 @@
+"""Monte Carlo estimator throughput on 1 and 2 threads, written to BENCH_mc.json.
+
+Usage:
+    python3 tools/bench_mc.py [--states N] [--runs K] [--out PATH]
+
+For m = 1, 2 and 3 exponential users at fixed weights and prices, each
+figure is the median of K timed ``montecarlo.estimate`` calls of N states
+(default 2^20, K = 9).  The 1- and 2-thread calls alternate, each pair
+starting with the other thread count than the last, so slow drift in the
+host's speed falls on both sides alike.  A warm-up call per user count runs
+first.  The tracemalloc peak of each user count and thread count is taken
+from one more call outside the timed ones, since tracing slows allocation.
+The program is imported from ``src/`` beside this directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+import macfade  # noqa: E402
+from macfade.fading import ExponentialGain  # noqa: E402
+from macfade.kernel import ChannelConfig, UserSpec  # noqa: E402
+from macfade.montecarlo import estimate  # noqa: E402
+
+SEED = 1
+THREADS = (1, 2)
+# (gain means, weights, prices) per user count; every user wins some states
+SCENARIOS = {
+    1: ((1.0,), (1.0,), (0.3,)),
+    2: ((1.0, 1.0), (0.7, 0.3), (0.126, 0.0454)),
+    3: ((0.5, 1.0, 2.0), (0.5, 0.3, 0.2), (0.1, 0.06, 0.03)),
+}
+
+
+def timed(channel, mu, lam, states, threads) -> float:
+    start = time.perf_counter()
+    estimate(channel, mu, lam, states, SEED, threads=threads)
+    return time.perf_counter() - start
+
+
+def peak_kb(channel, mu, lam, states, threads) -> float:
+    tracemalloc.start()
+    try:
+        estimate(channel, mu, lam, states, SEED, threads=threads)
+        return tracemalloc.get_traced_memory()[1] / 1024.0
+    finally:
+        tracemalloc.stop()
+
+
+def bench(states: int, runs: int) -> list:
+    rows = []
+    for m, (means, mu, lam) in SCENARIOS.items():
+        channel = ChannelConfig(1.0, tuple(UserSpec(ExponentialGain(g), 1.0) for g in means))
+        estimate(channel, mu, lam, states, SEED, threads=1)
+        walls = {threads: [] for threads in THREADS}
+        for run in range(runs):
+            for threads in THREADS[::-1] if run % 2 else THREADS:
+                walls[threads].append(timed(channel, mu, lam, states, threads))
+        for threads in THREADS:
+            wall = statistics.median(walls[threads])
+            rows.append({"users": m, "threads": threads, "states_per_s": round(states / wall),
+                         "median_wall_s": round(wall, 5),
+                         "tracemalloc_peak_kb": round(peak_kb(channel, mu, lam, states, threads), 1)})
+        t1, t2 = rows[-2]["states_per_s"], rows[-1]["states_per_s"]
+        rows[-1]["states_per_s_t2_over_t1"] = round(t2 / t1, 3)
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--states", type=int, default=1 << 20)
+    parser.add_argument("--runs", type=int, default=9)
+    parser.add_argument("--out", default=str(ROOT / "BENCH_mc.json"))
+    args = parser.parse_args(argv)
+    if args.states < 1 or args.runs < 1:
+        parser.error("--states and --runs must be at least 1")
+    doc = {
+        "states": args.states,
+        "runs": args.runs,
+        "seed": SEED,
+        "host": {"python": platform.python_version(), "numpy": np.__version__,
+                 "macfade": macfade.__version__, "machine": platform.machine(),
+                 "cpus": os.cpu_count()},
+        "results": bench(args.states, args.runs),
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    for row in doc["results"]:
+        print(json.dumps(row))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
