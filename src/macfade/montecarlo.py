@@ -25,11 +25,11 @@ contract, not a tuning knob.
 Each worker owns one (4, m, 2, CHUNK_SIZE) block of r, r^2, p and p^2, and
 takes every workers-th pair of chunks, so each numpy call covers two chunks.
 Both chunks are drawn user-major, one contiguous row of states per user,
-straight into the block's p row; one allocation over the block and one
-``np.sum`` over its last axis then yield each chunk's column sums.  The
-sum order is the contract that keeps the bytes: each user's column of a
-chunk is summed pairwise (numpy's order for a contiguous vector), and the
-per-chunk partials are added in chunk order.
+straight into the block's p row.  One allocation runs over the block, and
+one ``np.sum`` per chunk over its slice of the last axis yields that
+chunk's column sums.  The sum order is the contract that keeps the bytes:
+each user's column of a chunk is summed pairwise (numpy's order for a
+contiguous vector), and the per-chunk partials are added in chunk order.
 """
 
 from __future__ import annotations
@@ -201,11 +201,8 @@ def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
             _allocate_chunk(work[2].T, mu_arr, lam_arr, sigma2, out=work)
             np.multiply(work[0], work[0], out=work[1])
             np.multiply(work[2], work[2], out=work[3])
-            if rows < flat.shape[2]:  # one sum per chunk of the last pass
-                for c, j in enumerate(chunks):
-                    np.sum(block[:, :, c, :rows - c * CHUNK_SIZE], axis=2, out=partials[j])
-            else:
-                np.sum(block, axis=3, out=partials[chunks.start:chunks.stop].transpose(1, 2, 0))
+            for c, j in enumerate(chunks):
+                np.sum(block[:, :, c, :rows - c * CHUNK_SIZE], axis=2, out=partials[j])
 
     # The calling thread is worker 0, so a run holds one thread's working
     # memory fewer than a pool of ``threads`` would; one worker starts none.
@@ -217,11 +214,23 @@ def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
     total = 0  # the per-chunk partials, added in chunk order
     for part in partials:
         total = total + part
+    sum_r, sum_r2, sum_p, sum_p2 = total
 
     n = float(n_samples)
-    mean = total[0::2] / n  # rates, powers
+    mean_r = sum_r / n
+    mean_p = sum_p / n
     if n_samples > 1:
-        se = np.sqrt(np.maximum(total[1::2] - n * mean**2, 0.0) / (n - 1.0) / n)
+        var_r = np.maximum(sum_r2 - n * mean_r**2, 0.0) / (n - 1.0)
+        var_p = np.maximum(sum_p2 - n * mean_p**2, 0.0) / (n - 1.0)
+        se_r = np.sqrt(var_r / n)
+        se_p = np.sqrt(var_p / n)
     else:
-        se = np.full((2, m), np.nan)
-    return McEstimate(*(tuple(row) for row in (*mean, *se)), n_samples=n_samples)
+        se_r = np.full(m, np.nan)
+        se_p = np.full(m, np.nan)
+    return McEstimate(
+        rates=tuple(mean_r),
+        powers=tuple(mean_p),
+        rate_se=tuple(se_r),
+        power_se=tuple(se_p),
+        n_samples=n_samples,
+    )

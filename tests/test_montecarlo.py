@@ -322,7 +322,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("threads,limit_kb", [(1, 700), (2, 1400)])
     def test_one_block_per_worker(self, threads, limit_kb):
-        # a 2-user worker's block is 256 KB; a per-task buffer that every
+        # a 2-user worker's two-chunk block is 512 KB; a per-task buffer that every
         # chunk is copied into (about 1 MB a worker) shows as a higher peak
         mu = RateAwardVector((0.7, 0.3))
         lam = LambdaVector((0.126, 0.0454))
