@@ -13,8 +13,10 @@ rival with a larger mu wins at small z and is overtaken past the crossing
 level, which raises enter_i; a rival with a smaller mu does the reverse and
 lowers exit_i, as does the user's own positivity root; a larger-mu rival
 that is no dearer per unit of gain is never overtaken and knocks the user
-out.  Winning [z_lo, z_hi] earns rate 0.5*ln((sigma2+z_hi) / (sigma2+z_lo))
-and costs transmit power (z_hi - z_lo)/h_i.
+out, setting enter_i = +inf.  Winning [z_lo, z_hi] earns rate
+0.5*ln((sigma2+z_hi) / (sigma2+z_lo)) and costs transmit power
+(z_hi - z_lo)/h_i; an empty interval collapses to [exit_i, exit_i] and
+earns exactly 0, so no step writes through a random per-state mask.
 
 Randomness is counter-based: chunk j of a run draws its gains from
 Philox(key=seed, counter=j << 128), and the estimate adds per-chunk partial
@@ -99,13 +101,18 @@ def _allocate_chunk(gains: np.ndarray, mu_arr: np.ndarray, lam_arr: np.ndarray,
 
     Each pair's crossing level 0.5*((mu_i - mu_j)/d) - sigma2, with
     d = lam_i/h_i - lam_j/h_j, is computed once.  Where the larger-mu user
-    of the pair pays more per unit of gain, the other overtakes it past the
-    crossing: the crossing caps the larger-mu user's interval from above
-    and opens the other's from below.  Elsewhere the smaller-mu user never
+    of the pair pays more per unit of gain, that is where
+    (mu_j - mu_i)/d < 0, the other overtakes it past the crossing: the
+    crossing caps the larger-mu user's interval from above and opens the
+    other's from below.  Elsewhere copysign makes the level +inf (d = -0
+    too): the cap stays open and the smaller-mu user, opened at +inf, never
     wins.  Equal mu gives parallel lines: the cheaper user wins throughout,
     the lower index on a tie.  The user's own positivity root caps its
     interval too.  These are the numbers the sort-and-argmax partition cuts
-    at, so rates and powers match it bit for bit on continuous draws.
+    at, so rates and powers match it bit for bit on continuous draws.  With
+    exit floored at 0, min(enter, exit) collapses a lost interval to
+    [exit, exit], which earns exactly 0.  A NaN level (d = inf - inf) is
+    dropped by the fmin cap and knocks out through the enter maximum.
 
     The maths runs on user-major (m, n) arrays, so it is fastest when each
     column of ``gains`` is contiguous, as ``state_chunk`` lays them out.
@@ -124,40 +131,33 @@ def _allocate_chunk(gains: np.ndarray, mu_arr: np.ndarray, lam_arr: np.ndarray,
     exit_ /= 2.0 * lam_arr[:, None]
     exit_ -= sigma2
     enter.fill(0.0)
-    alive = np.ones((m, n), dtype=bool)
+    z, pen = np.empty((2, n))  # one pair's levels, reused by the next
     for i in range(m):
         for j in range(i + 1, m):
-            d = cost[i] - cost[j]
+            np.subtract(cost[i], cost[j], out=z)
             if mu_arr[i] == mu_arr[j]:
-                alive[i] &= d <= 0.0
-                alive[j] &= d > 0.0
+                np.copyto(enter[i], np.inf, where=z > 0.0)
+                np.copyto(enter[j], np.inf, where=z <= 0.0)
                 continue
-            if mu_arr[i] > mu_arr[j]:
-                big, small, overtaken = i, j, d > 0.0
-            else:
-                big, small, overtaken = j, i, d < 0.0
-            z = d  # the crossing level, in place
+            big, small = (i, j) if mu_arr[i] > mu_arr[j] else (j, i)
             with np.errstate(divide="ignore"):
-                np.divide(mu_arr[i] - mu_arr[j], d, out=z)
-            z *= 0.5
-            z -= sigma2
-            np.minimum(exit_[big], np.where(overtaken, z, np.inf), out=exit_[big])
-            # where not overtaken, small is knocked out and its enter unused
+                np.divide(mu_arr[j] - mu_arr[i], z, out=z)  # negative where overtaken
+            np.copysign(np.inf, z, out=pen)
+            z *= -0.5
+            z -= sigma2  # the crossing level
+            np.maximum(z, pen, out=z)
+            np.fmin(exit_[big], z, out=exit_[big])
             np.maximum(enter[small], z, out=enter[small])
-            alive[small] &= overtaken
 
-    lost = ~(alive & (enter < exit_))
-    lo, hi = enter, exit_
-    np.copyto(lo, 0.0, where=lost)
-    np.copyto(hi, 0.0, where=lost)
-    np.subtract(hi, lo, out=cost)
+    np.maximum(exit_, 0.0, out=exit_)
+    np.fmin(enter, exit_, out=enter)  # a lost interval collapses to [exit, exit]
+    np.subtract(exit_, enter, out=cost)
     np.divide(cost, g, out=powers)
-    rates = hi
-    rates += sigma2
-    np.divide(rates, np.add(lo, sigma2, out=lo), out=rates)
-    np.log(rates, out=rates)
-    rates *= 0.5
-    return rates.T, powers.T
+    exit_ += sigma2
+    np.divide(exit_, np.add(enter, sigma2, out=enter), out=exit_)
+    np.log(exit_, out=exit_)
+    exit_ *= 0.5
+    return exit_.T, powers.T
 
 
 def check_run(n_samples: int, seed: int, threads: int) -> None:

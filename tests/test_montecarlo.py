@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
     WinnerPartition,
     per_state_allocation,
     reference_allocate_chunk,
+    reference_closed_form_chunk,
     reference_estimate,
     reference_estimate_win_probability,
     reference_state_chunk,
@@ -266,6 +268,45 @@ class TestAllocateChunk:
         np.testing.assert_allclose(powers, ref_powers, rtol=1e-12, atol=0.0)
 
 
+class TestAllocateEdgeStates:
+    LAM = np.array((0.126, 0.0454))
+    GAINS = np.array([
+        [1e-300, 1.0], [1.0, 1e-300], [1e-300, 1e-17], [1e-17, 1e-17], [1e-17, 2.0],
+        [5e-324, 1.0], [1.0, 5e-324], [5e-324, 1e-17], [1e-300, 5e-324],
+        [0.005, 0.01], [1.0, 2.0], [4.0, 0.2],
+    ])
+
+    def allocations(self, gains, mu_arr, sigma2):
+        yield _allocate_chunk(gains, mu_arr, self.LAM, sigma2)
+        yield scalar_allocation(gains, mu_arr, self.LAM, sigma2)
+        yield reference_closed_form_chunk(gains, mu_arr, self.LAM, sigma2)
+
+    @pytest.mark.parametrize("sigma2", [1.0, 0.1])
+    @pytest.mark.parametrize("mu", [(0.7, 0.3), (0.3, 0.7)])
+    def test_vanishing_gains_and_priced_out_states(self, mu, sigma2):
+        # roots of gains 1e-300 and 1e-17 round to -sigma2 (a lost interval then
+        # collapses to [-sigma2, -sigma2] unless it is floored), the cost lam/h of
+        # the denormal 5e-324 overflows to inf, and [0.005, 0.01] prices both
+        # users out; each user wins in one of the last two rows
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing but that overflow may warn
+            (rates, powers), *refs = self.allocations(self.GAINS, np.array(mu), sigma2)
+        assert np.all(np.isfinite(rates)) and np.all(np.isfinite(powers))
+        assert np.all(powers[-3] == 0.0) and np.all(np.any(powers > 0.0, axis=0))
+        for ref_rates, ref_powers in refs:
+            assert np.all(rates == ref_rates) and np.all(powers == ref_powers)
+
+    @pytest.mark.parametrize("mu", [(0.7, 0.3), (0.3, 0.7)])
+    def test_two_overflowing_costs_give_a_nan_level(self, mu):
+        # inf - inf makes the pair's crossing level NaN; it must still knock out
+        gains = np.array([[5e-324, 5e-324], [5e-324, 1e-300], [1.0, 2.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            (rates, powers), *refs = self.allocations(gains, np.array(mu), 1.0)
+        assert np.all(rates[:2] == 0.0) and np.all(powers[:2] == 0.0)
+        for ref_rates, ref_powers in refs:
+            assert np.all(rates == ref_rates) and np.all(powers == ref_powers)
+
+
 class TestEstimate:
     def test_single_sample_equals_per_state_allocation(self):
         for seed in (0, 3, 11, 2024):
@@ -330,6 +371,20 @@ class TestEstimate:
         tracemalloc.start()
         try:
             estimate(CH2, mu, lam, 1 << 18, 1, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_kb * 1024
+
+    @pytest.mark.parametrize("threads,limit_kb", [(1, 1000), (2, 2000)])
+    def test_one_block_per_worker_three_users(self, threads, limit_kb):
+        # a 3-user worker's block is 768 KB and the peak about 950 KB on one thread;
+        # a bool-to-float product in the pair loop (numpy's cast buffer and the
+        # product, 64 KB each) lifts it past 1,100 KB
+        estimate(CH3, MU3, LAM3, 5000, 1, threads=threads)  # first-call caches
+        tracemalloc.start()
+        try:
+            estimate(CH3, MU3, LAM3, 1 << 18, 1, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

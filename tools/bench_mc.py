@@ -8,8 +8,14 @@ figure is the median of K timed ``montecarlo.estimate`` calls of N states
 (default 2^20, K = 9).  The 1- and 2-thread calls alternate, each pair
 starting with the other thread count than the last, so slow drift in the
 host's speed falls on both sides alike.  A warm-up call per user count runs
-first.  The tracemalloc peak of each user count and thread count is taken
-from one more call outside the timed ones, since tracing slows allocation.
+first.  The 2-thread row also gives the min, median and max of the K
+per-round ratios of 2- to 1-thread states/s (1-thread wall over 2-thread
+wall), which show how far one run of the script can be trusted.  The
+tracemalloc peak of each user count and thread count is taken from one
+more call outside the timed ones, since tracing slows allocation.  The
+1-thread row's ``allocate_us_per_pass`` is the median time of
+``_allocate_chunk`` alone over one two-chunk block (the stream's first two
+chunks), restored before each of ALLOCATE_CALLS timed calls.
 The program is imported from ``src/`` beside this directory.
 """
 
@@ -33,10 +39,11 @@ import numpy as np  # noqa: E402
 import macfade  # noqa: E402
 from macfade.fading import ExponentialGain  # noqa: E402
 from macfade.kernel import ChannelConfig, UserSpec  # noqa: E402
-from macfade.montecarlo import estimate  # noqa: E402
+from macfade.montecarlo import CHUNK_SIZE, _allocate_chunk, estimate, state_chunk  # noqa: E402
 
 SEED = 1
 THREADS = (1, 2)
+ALLOCATE_CALLS = 301
 # (gain means, weights, prices) per user count; every user wins some states
 SCENARIOS = {
     1: ((1.0,), (1.0,), (0.3,)),
@@ -60,6 +67,23 @@ def peak_kb(channel, mu, lam, states, threads) -> float:
         tracemalloc.stop()
 
 
+def allocate_us_per_pass(channel, mu, lam) -> float:
+    m = channel.n_users
+    block = np.empty((4, m, 2, CHUNK_SIZE))
+    for c in range(2):
+        state_chunk(channel, SEED, c, out=block[2, :, c])
+    work = block.reshape(4, m, 2 * CHUNK_SIZE)
+    gains = work[2].copy()
+    mu_arr, lam_arr = np.array(mu), np.array(lam)
+    walls = []
+    for _ in range(ALLOCATE_CALLS):
+        np.copyto(work[2], gains)
+        start = time.perf_counter()
+        _allocate_chunk(work[2].T, mu_arr, lam_arr, channel.sigma2, out=work)
+        walls.append(time.perf_counter() - start)
+    return statistics.median(walls) * 1e6
+
+
 def bench(states: int, runs: int) -> list:
     rows = []
     for m, (means, mu, lam) in SCENARIOS.items():
@@ -76,6 +100,11 @@ def bench(states: int, runs: int) -> list:
                          "tracemalloc_peak_kb": round(peak_kb(channel, mu, lam, states, threads), 1)})
         t1, t2 = rows[-2]["states_per_s"], rows[-1]["states_per_s"]
         rows[-1]["states_per_s_t2_over_t1"] = round(t2 / t1, 3)
+        ratios = [a / b for a, b in zip(walls[1], walls[2])]
+        rows[-1]["t2_over_t1_per_round"] = {
+            "min": round(min(ratios), 3), "median": round(statistics.median(ratios), 3),
+            "max": round(max(ratios), 3)}
+        rows[-2]["allocate_us_per_pass"] = round(allocate_us_per_pass(channel, mu, lam), 1)
     return rows
 
 
