@@ -126,28 +126,28 @@ def _allocate_chunk(gains: np.ndarray, mu_arr: np.ndarray, lam_arr: np.ndarray,
     m, n = g.shape
     work = np.empty((4, m, n)) if out is None else out
     exit_, cost, powers, enter = work  # exit_ becomes the rates
-    np.divide(lam_arr[:, None], g, out=cost)
     np.multiply(mu_arr[:, None], g, out=exit_)  # the positivity roots
     exit_ /= 2.0 * lam_arr[:, None]
     exit_ -= sigma2
     enter.fill(0.0)
     z, pen = np.empty((2, n))  # one pair's levels, reused by the next
-    for i in range(m):
-        for j in range(i + 1, m):
-            np.subtract(cost[i], cost[j], out=z)
-            if mu_arr[i] == mu_arr[j]:
-                np.copyto(enter[i], np.inf, where=z > 0.0)
-                np.copyto(enter[j], np.inf, where=z <= 0.0)
-                continue
-            big, small = (i, j) if mu_arr[i] > mu_arr[j] else (j, i)
-            with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # lam/h may overflow
+        np.divide(lam_arr[:, None], g, out=cost)
+        for i in range(m):
+            for j in range(i + 1, m):
+                np.subtract(cost[i], cost[j], out=z)
+                if mu_arr[i] == mu_arr[j]:
+                    np.copyto(enter[i], np.inf, where=z > 0.0)
+                    np.copyto(enter[j], np.inf, where=z <= 0.0)
+                    continue
+                big, small = (i, j) if mu_arr[i] > mu_arr[j] else (j, i)
                 np.divide(mu_arr[j] - mu_arr[i], z, out=z)  # negative where overtaken
-            np.copysign(np.inf, z, out=pen)
-            z *= -0.5
-            z -= sigma2  # the crossing level
-            np.maximum(z, pen, out=z)
-            np.fmin(exit_[big], z, out=exit_[big])
-            np.maximum(enter[small], z, out=enter[small])
+                np.copysign(np.inf, z, out=pen)
+                z *= -0.5
+                z -= sigma2  # the crossing level
+                np.maximum(z, pen, out=z)
+                np.fmin(exit_[big], z, out=exit_[big])
+                np.maximum(enter[small], z, out=enter[small])
 
     np.maximum(exit_, 0.0, out=exit_)
     np.fmin(enter, exit_, out=enter)  # a lost interval collapses to [exit, exit]

@@ -6,17 +6,18 @@ the own price and rises in every rival's, and the root is unique (the
 Tse-Hanly price structure), so one damped quasi-Newton solve finds it in
 both CDF modes:
 
-- the Jacobian starts as a forward difference (step 1e-4 in x, full
-  quadrature tolerance) or as a neighbouring solve's final matrix, and
-  takes a Broyden rank-one update after every accepted step;
+- a cold solve starts where each user alone would spend its budget (its
+  one-user water-filling price); the Jacobian starts as the closed-form
+  one-user own-price slopes, a diagonal, or as a neighbouring solve's final
+  matrix, and takes a Broyden rank-one update after every accepted step;
 - each step is capped so no price moves by more than ``bracket_growth``;
   a starved user, spending under 1% of its budget, has a zero or tiny
   Jacobian row and lowers its own price by the full factor, and the
   Jacobian is measured afresh once it spends again;
 - every step, starved users' too, is halved along its price segment until
   the slope of the convex dual g(lam) = sum mu_i R_i - lam.(P - pbar) is at
-  most half its start value; an uphill step, or a failed search on an
-  updated or carried Jacobian, is retried once on a fresh forward difference.
+  most half its start value; an uphill step, or a failed search on any but
+  a fresh Jacobian, is retried once on a forward difference (step 1e-4 in x).
 
 Convergence is declared only when every residual, evaluated at the full
 quadrature tolerance, is inside 0.95 ``power_rel_tol``; the returned
@@ -32,6 +33,7 @@ and the log-price Jacobian ``SolverResult.jacobian`` is scale-free.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +47,14 @@ from .kernel import (
     outer_request,
     power_integrand,
 )
-from .quadrature import QuadratureError, integrate_or_raise
+from .quadrature import BatchRequest, QuadratureError, integrate_or_raise, panel_edges
 
 __all__ = ["SolverSettings", "SolverResult", "SolverError", "achieved_power", "solve_lambda"]
 
 _FD_STEP = 1e-4      # forward-difference step in log price
 _MAX_HALVINGS = 10   # line-search halvings before the Jacobian is blamed
 _STARVED = 1e-2      # share of its budget below which a user counts as spending 0
+_START_TOL = 1e-2    # relative power residual after which the one-user start stops
 
 
 @dataclass(frozen=True)
@@ -104,17 +107,39 @@ def achieved_power(i: int, mu, lam, channel: ChannelConfig,
     return 0.0 if req is None else float(integrate_or_raise(req).values[0])
 
 
-def _quad_tol(settings: SolverSettings, pbar: float) -> float:
-    # Absolute integration tolerance scaled to the power budget being matched.
-    return settings.quad_abs_tol * min(1.0, pbar)
+def _own_slopes(mu, channel, x):
+    """Each user's d r_i / d log lam_i alone at exp(x): -(w_i/pbar_i)(1 - F_i(sigma2/w_i))."""
+    level = mu.as_array() * np.exp(-x) / 2.0  # w_i = mu_i/(2 lam_i), the water level
+    spend = [1.0 - u.fading._cdf_raw(channel.sigma2 / w) for u, w in zip(channel.users, level)]
+    return -level * spend / channel.pbars
 
 
-def _cold_price(i, mu, channel):
-    """Cold-start price: the geometric middle of the water-filling price scale."""
-    dist = channel.users[i].fading
-    q99 = dist.quantile(0.99)
-    q01 = max(dist.quantile(0.01), 1e-12)
-    return mu[i] / (2.0 * channel.sigma2 * float(np.sqrt(q99 * q01)))
+def _one_user_start(mu, channel, settings):
+    """Log prices at which each user alone spends its budget, E[(w - sigma2/h)^+] = pbar_i:
+    Newton in log lam on ``_own_slopes``, one batch of a row per user split at its own kinks
+    per iterate, from the 1%/99% gain-quantile guess or, if lower, mu_i/(2 pbar_i), as w is
+    at least what a user alone spends.  That power is convex and falling in log lam, so no
+    step up passes the root; steps down are capped at ``bracket_growth`` (the whole cap where
+    the slope is 0).  A user stops after the step from a residual under _START_TOL."""
+    dists, sigma2, pbar = [u.fading for u in channel.users], channel.sigma2, np.array(channel.pbars)
+    q = np.array([(d.quantile(0.99), max(d.quantile(0.01), 1e-12)) for d in dists])
+    x = np.log(mu.as_array() / (2.0 * np.maximum(sigma2 * np.sqrt(q[:, 0] * q[:, 1]), pbar)))
+    tail = np.array([d.tail_point(settings.tail_epsilon) for d in dists])
+    cap, busy = np.log(settings.bracket_growth), np.arange(channel.n_users)
+    while busy.size:
+        # in u = h / tail every row's window ends at 1; an empty one is cut to its last 1e-9
+        level, top = mu.as_array()[busy] * np.exp(-x[busy]) / 2.0, tail[busy]
+        kinks = itertools.zip_longest(*(dists[i].kinks() for i in busy), fillvalue=np.inf)
+        edges = panel_edges(np.minimum(sigma2 / level / top, 1.0 - 1e-9), 1.0,
+                            [np.array(c) / top for c in kinks]) * top[:, None]
+        power = integrate_or_raise(BatchRequest(lambda h, g: np.stack(
+            [np.maximum(level[r] - sigma2 / hr, 0.0) * dists[busy[r]]._pdf_raw(hr)
+             for r, hr in zip(g, h)]), edges, abs_tol=1e-3 * min(pbar),
+            row_name=lambda r: f"one-user start of user {busy[r]}")).values
+        r = power / pbar[busy] - 1.0
+        x[busy] += np.clip(r / np.maximum(-_own_slopes(mu, channel, x)[busy], 1e-12), -cap, cap)
+        busy = busy[np.abs(r) > _START_TOL]
+    return x
 
 
 def solve_lambda(mu, channel: ChannelConfig,
@@ -124,24 +149,24 @@ def solve_lambda(mu, channel: ChannelConfig,
 
     Damped Newton-Broyden steps in log price, each accepted by one line
     search on the dual's slope; convergence is declared only when every
-    residual is inside tolerance at full quadrature precision.  Pass
-    ``initial_lambda`` and ``initial_jacobian`` (m x m, d r / d log lam) to
-    warm-start from a neighbour's solution; the forward difference is then
-    taken only when a line search fails or a starved user revives.  A
-    ``QuadratureError`` is raised again with the step, iterate and residuals.
+    residual is inside tolerance at full quadrature precision.  The start is
+    ``initial_lambda`` or the one-user prices, and the Jacobian (m x m,
+    d r / d log lam) ``initial_jacobian`` or the one-user slopes there, which
+    ``SolverResult.jacobian`` returns unstepped only when exact, for one user.
+    A ``QuadratureError`` is raised again with the step, iterate and
+    residuals, or in the start with the user's one-user start named.
     """
     settings = SolverSettings() if settings is None else settings
     mu = channel.weights(mu)
     m = channel.n_users
-    lam0 = ([_cold_price(i, mu, channel) for i in range(m)] if initial_lambda is None
-            else channel.prices(initial_lambda).lam)
-    # measured lazily, and again whenever a starved user revives
-    jac = None if initial_jacobian is None else np.array(initial_jacobian, dtype=float)
-    if jac is not None and (jac.shape != (m, m) or not np.isfinite(jac).all()):
+    x = (_one_user_start(mu, channel, settings) if initial_lambda is None
+         else np.log(channel.prices(initial_lambda).lam))
+    jac = np.array(np.diag(_own_slopes(mu, channel, x)) if initial_jacobian is None
+                   else initial_jacobian, dtype=float)
+    if jac.shape != (m, m) or not np.isfinite(jac).all():
         raise ValueError(f"initial_jacobian must be a finite {m} x {m} matrix")
-
-    pbar = [user.pbar for user in channel.users]
-    evals = 0
+    pbar, evals = channel.pbars, 0
+    tols = [settings.quad_abs_tol * min(1.0, p) for p in pbar]  # scaled to each budget
 
     def power(i, lam, tol):
         # A quadrature failure is raised again with where the solve was.
@@ -162,7 +187,7 @@ def solve_lambda(mu, channel: ChannelConfig,
         r = np.full(m, -1.0)
         for i in users:
             evals += 1
-            r[i] = (power(i, lam, _quad_tol(settings, pbar[i])) - pbar[i]) / pbar[i]
+            r[i] = (power(i, lam, tols[i]) - pbar[i]) / pbar[i]
         return r
 
     def fd_jacobian(x, r, live):
@@ -180,7 +205,6 @@ def solve_lambda(mu, channel: ChannelConfig,
     # accept 5% inside the contract tolerance so the post-hoc certificate at
     # tighter quadrature cannot be pushed past it by integration noise
     rtol = 0.95 * settings.power_rel_tol
-    x = np.log(lam0)
     # read by ``power`` to place a quadrature failure; r is None until the start is evaluated
     r, steps, certifying = None, 0, False
     r = residuals(x)
@@ -212,14 +236,15 @@ def solve_lambda(mu, channel: ChannelConfig,
 
     certifying = True
     lam = LambdaVector(tuple(np.exp(x)))
-    achieved = [power(i, lam, _quad_tol(settings, pbar[i]) / 10.0) for i in range(m)]
+    achieved = [power(i, lam, tols[i] / 10.0) for i in range(m)]
     return SolverResult(
         lam=lam,
         achieved=tuple(achieved),
         certified_residuals=tuple((a - p) / p for a, p in zip(achieved, pbar)),
         sweeps=steps,
         power_evals=evals,
-        jacobian=None if jac is None else tuple(map(tuple, jac.tolist())),
+        jacobian=(None if jac is None or steps == 0 and initial_jacobian is None and m > 1
+                  else tuple(map(tuple, jac.tolist()))),
     )
 
 

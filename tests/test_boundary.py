@@ -168,7 +168,7 @@ class TestSweep:
 
     def test_acceptance_4_sweeps_stay_within_power_integral_bounds(self):
         # The acceptance-4 grids, warm-started from weight-scaled prices and
-        # the neighbour's Jacobian: 92 and 311 power integrals when pinned.
+        # the neighbour's Jacobian: 86 and 306 power integrals when pinned.
         for channel, grid, bound in [
             (CH2, simplex_grid(2, 10), 120),
             (expo_channel(3, means=[0.5, 1.0, 2.0]), simplex_grid(3, 7), 400),

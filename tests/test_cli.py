@@ -185,13 +185,14 @@ class TestExitCodes:
     def test_quadrature_failure_names_its_layer_once(self, tmp_path, capsys, monkeypatch):
         # The fourth outer power integral, user 1's at the first Newton
         # step's trial prices, gets one rule's budget and a tolerance it
-        # cannot meet.
+        # cannot meet; the one-user start's integrals are not counted.
         calls = []
 
         def starved_fourth(req):
-            calls.append(req)
-            if len(calls) == 4:
-                req = dataclasses.replace(req, abs_tol=1e-300, max_evals=_EVALS_PER_RULE)
+            if req.prefix(0).startswith("outer power integral"):
+                calls.append(req)
+                if len(calls) == 4:
+                    req = dataclasses.replace(req, abs_tol=1e-300, max_evals=_EVALS_PER_RULE)
             return integrate_or_raise(req)
 
         monkeypatch.setattr(solver, "integrate_or_raise", starved_fourth)
@@ -202,6 +203,20 @@ class TestExitCodes:
         assert "outer power integral of user 1 over z at lam=(" in err
         assert re.search(r"; in the solver's Newton step \d+ from lam=\(.*\), "
                          r"last residuals \(-?\d[^,]*, -?\d[^,]*\)$", err)
+
+    def test_quadrature_failure_in_the_start_names_the_one_user_start(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        def starved_start(req):
+            if req.prefix(0).startswith("one-user start"):
+                req = dataclasses.replace(req, abs_tol=1e-300, max_evals=_EVALS_PER_RULE)
+            return integrate_or_raise(req)
+
+        monkeypatch.setattr(solver, "integrate_or_raise", starved_start)
+        path = write_config(tmp_path, {"solver": None, "quadrature": None})
+        assert main(["solve", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("did not converge") == 1
+        assert "one-user start of user 0: quadrature did not converge" in err
 
     def test_bad_thread_override_is_config_error(self, tmp_path, capsys):
         assert main(["solve", "--config", write_config(tmp_path), "--threads", "0"]) == 1

@@ -69,6 +69,13 @@ class ZeroHeavyGain(UniformGain):
         return np.where(arr < 0.05, 0.0, super()._quantile_raw(arr))
 
 
+class DenormalHeavyGain(ExponentialGain):
+    """Exponential law whose quantile is the denormal 5e-324 below p = 0.05 (tests only)."""
+
+    def _quantile_raw(self, arr):
+        return np.where(arr < 0.05, 5e-324, super()._quantile_raw(arr))
+
+
 # two users draw zeros, so the order fresh uniforms are handed out in shows
 CH_ZERO = ChannelConfig(1.0, (
     UserSpec(ZeroHeavyGain(0.0, 2.0), 1.0),
@@ -305,6 +312,19 @@ class TestAllocateEdgeStates:
         assert np.all(rates[:2] == 0.0) and np.all(powers[:2] == 0.0)
         for ref_rates, ref_powers in refs:
             assert np.all(rates == ref_rates) and np.all(powers == ref_powers)
+
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_estimate_on_denormal_gains_raises_no_warning(self, threads):
+        # lam/h overflows to inf on a denormal gain, and a state where both
+        # users draw one (about 125 of these 50,000) forms inf - inf
+        channel = ChannelConfig(1.0, tuple(UserSpec(DenormalHeavyGain(1.0), 1.0)
+                                           for _ in range(2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = estimate(channel, (0.7, 0.3), self.LAM, 50_000, 3, threads=threads)
+        assert np.all(np.isfinite(result.rates)) and np.all(np.isfinite(result.powers))
+        assert all(p > 0.0 for p in result.powers)
 
 
 class TestEstimate:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 from macfade import solver
-from macfade.fading import ExponentialGain, UniformGain
+from macfade.fading import ExponentialGain, PiecewiseLinearEmpirical, UniformGain
 from macfade.kernel import CdfMode, ChannelConfig, LambdaVector, RateAwardVector, UserSpec
-from macfade.quadrature import QuadratureError
+from macfade.quadrature import _EVALS_PER_RULE, QuadratureError, integrate_or_raise
 from macfade.solver import (
     SolverError,
     SolverSettings,
@@ -218,13 +219,19 @@ class TestSolveLambda:
         for res in result.certified_residuals:
             assert abs(res) <= 1e-6
 
-    # the first power integral, one of the first step's forward difference,
-    # and the first of the certificate pass
+    # the first power integral, the first of a forward difference (taken when
+    # a negated carried Jacobian gives an uphill step), and the first of the
+    # certificate pass
     @pytest.mark.parametrize("where", ["start", "difference", "certificate"])
     def test_quadrature_failure_names_the_solver_stage(self, monkeypatch, where):
         mu = RateAwardVector((0.7, 0.3))
         solved = solve_lambda(mu, CH2)
-        fail_at = {"start": 1, "difference": 4, "certificate": solved.power_evals + 1}[where]
+        kwargs = {}
+        if where == "difference":
+            neighbour = solve_lambda(RateAwardVector((0.6, 0.4)), CH2)
+            kwargs = {"initial_lambda": neighbour.lam,
+                      "initial_jacobian": -np.array(neighbour.jacobian)}
+        fail_at = {"start": 1, "difference": 3, "certificate": solved.power_evals + 1}[where]
         calls = []
 
         def failing(*args):
@@ -236,7 +243,12 @@ class TestSolveLambda:
 
         monkeypatch.setattr(solver, "achieved_power", failing)
         with pytest.raises(QuadratureError) as err:
-            solve_lambda(mu, CH2)
+            solve_lambda(mu, CH2, **kwargs)
+        if where == "difference":
+            # user 0's price bumped by the forward-difference step, user 1's as at the start
+            start, bumped = calls[0][2].as_array(), calls[-1][2].as_array()
+            assert bumped[0] == pytest.approx(start[0] * math.exp(solver._FD_STEP), rel=1e-12)
+            assert bumped[1] == start[1]
         stage = (f"certificate pass after {solved.sweeps} Newton steps"
                  if where == "certificate" else "Newton step 1")
         last = "none yet" if where == "start" else r"\(-?\d[^,]*, -?\d[^,]*\)"
@@ -244,6 +256,20 @@ class TestSolveLambda:
                             rf"solver's {stage} from lam=\([^)]*\), last residuals {last}",
                             str(err.value))
         assert err.value.result == "best"
+
+    def test_naive_far_start_and_lopsided_weights_stay_within_bounds(self):
+        # Halving along the price segment once cost these 171 and 56 power
+        # integrals; the one-user slopes as the seed Jacobian (and, cold, the
+        # one-user prices) bring them under the log-space halving's 99 and 47.
+        channel = expo_channel(3, means=[0.5, 1.0, 2.0])
+        far = solve_lambda(RateAwardVector((0.5, 0.3, 0.2)), channel,
+                           SolverSettings(mode=CdfMode.NAIVE_ZERO),
+                           initial_lambda=(1e-4, 1e-4, 1e-4))
+        lopsided = solve_lambda(RateAwardVector((0.9, 0.05, 0.05)), channel)
+        assert far.power_evals <= 99
+        assert lopsided.power_evals <= 47
+        for res in far.certified_residuals + lopsided.certified_residuals:
+            assert abs(res) <= 1e-6
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -329,3 +355,53 @@ class TestLineSearch:
         (x_new, r_new), seen = self.search([0.7, -3.0], lambda k: -3.0 * self.R)
         assert x_new is None and r_new is None
         assert len(seen) == solver._MAX_HALVINGS + 1
+
+
+class TestOneUserStart:
+    """The cold start: each user's one-user water-filling price, and its slope."""
+
+    def test_start_is_each_users_water_filling_price(self):
+        means, pbars, sigma2 = [0.5, 1.0, 2.0], [1.0, 0.3, 2.0], 0.8
+        channel = expo_channel(3, sigma2=sigma2, means=means, pbars=pbars)
+        mu = RateAwardVector((0.2, 0.3, 0.5))
+        x = solver._one_user_start(mu, channel, SolverSettings())
+        for i in range(3):
+            price = mu[i] * wf_solve_lambda(pbars[i], sigma2, means[i])
+            assert abs(x[i] - math.log(price)) <= solver._START_TOL
+
+    @pytest.mark.parametrize("mean, pbar, sigma2", [
+        (1.0, 1.0, 1.0), (0.5, 1.0, 1.0), (2.0, 0.3, 0.8),
+        (1.0, 1e-4, 1.0), (1.0, 1e3, 1.0), (1.0, 1.0, 1e-4), (1.0, 1.0, 1e3),
+    ])
+    def test_one_user_cold_solve_takes_at_most_one_newton_step(self, mean, pbar, sigma2):
+        result = solve_lambda(MU1, expo_channel(1, sigma2, [mean], [pbar]))
+        # the start's one power integral and at most one line-search trial:
+        # the seeded slope is the exact Jacobian, so no forward difference
+        assert result.sweeps <= 1 and result.power_evals <= 2
+        assert abs(result.certified_residuals[0]) <= 1e-6
+
+    @pytest.mark.parametrize("pbar", [1e-4, 1.0, 1e3])
+    @pytest.mark.parametrize("sigma2", [1e-4, 1.0, 1e3])
+    def test_awkward_laws_and_scales_start(self, pbar, sigma2):
+        empirical = PiecewiseLinearEmpirical((0.1, 0.5, 1.0, 2.0, 4.0), (0.0, 0.3, 0.6, 0.9, 1.0))
+        laws = [UniformGain(1.0, 1.001), empirical, ExponentialGain(1.0)]
+        channel = ChannelConfig(sigma2, tuple(UserSpec(law, pbar) for law in laws))
+        mu = RateAwardVector((0.5, 0.3, 0.2))
+        x = solver._one_user_start(mu, channel, SolverSettings())
+        assert np.isfinite(x).all()
+        # alone at its start price, each user spends close to its budget
+        for i, law in enumerate(laws):
+            alone = ChannelConfig(sigma2, (UserSpec(law, pbar),))
+            spent = achieved_power(0, MU1, (math.exp(x[i]) / mu[i],), alone)
+            assert spent == pytest.approx(pbar, rel=0.05)
+
+    def test_start_failure_names_the_one_user_start(self, monkeypatch):
+        def starved(req):
+            if req.prefix(0).startswith("one-user start"):
+                req = dataclasses.replace(req, abs_tol=1e-300, max_evals=_EVALS_PER_RULE)
+            return integrate_or_raise(req)
+
+        monkeypatch.setattr(solver, "integrate_or_raise", starved)
+        with pytest.raises(QuadratureError, match=r"^one-user start of user 0: quadrature "
+                                                  r"did not converge"):
+            solve_lambda(RateAwardVector((0.7, 0.3)), CH2)
