@@ -59,7 +59,6 @@ class RunConfig:
     mu: object  # RateAwardVector or GridSpec
     power_rel_tol: float
     max_outer_iters: int
-    bracket_growth: float
     outer_abs_tol: float
     tail_epsilon: float
     mc_samples: int
@@ -179,7 +178,6 @@ _UNITS = ("nats", "bits")
 _OPTIONS = (
     ("solver", "power_rel_tol", "power_rel_tol", SolverSettings.power_rel_tol, _as_float),
     ("solver", "max_outer_iters", "max_outer_iters", SolverSettings.max_outer_iters, _as_int),
-    ("solver", "bracket_growth", "bracket_growth", SolverSettings.bracket_growth, _as_float),
     ("quadrature", "outer_abs_tol", "outer_abs_tol", SolverSettings.quad_abs_tol, _as_float),
     ("quadrature", "tail_epsilon", "tail_epsilon", SolverSettings.tail_epsilon, _as_float),
     ("mc", "n_samples", "mc_samples", 1_000_000, _as_int),

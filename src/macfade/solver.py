@@ -9,15 +9,15 @@ both CDF modes:
 - a cold solve starts where each user alone would spend its budget (its
   one-user water-filling price); the Jacobian starts as the closed-form
   one-user own-price slopes, a diagonal, or as a neighbouring solve's final
-  matrix, and takes a Broyden rank-one update after every accepted step;
-- each step is capped so no price moves by more than ``bracket_growth``;
-  a starved user, spending under 1% of its budget, has a zero or tiny
-  Jacobian row and lowers its own price by the full factor, and the
-  Jacobian is measured afresh once it spends again;
+  matrix, and its live block takes a Broyden update after every step;
+- each step is capped so no price moves by more than a factor of 4; a
+  starved user, spending under 1% of its budget, is left out of the Newton
+  block and lowers its own price by the full factor;
 - every step, starved users' too, is halved along its price segment until
   the slope of the convex dual g(lam) = sum mu_i R_i - lam.(P - pbar) is at
-  most half its start value; an uphill step, or a failed search on any but
-  a fresh Jacobian, is retried once on a forward difference (step 1e-4 in x).
+  most half its start value; an uphill step, or a failed search on a carried
+  or updated Jacobian, is retried once on the one-user slopes at the current
+  prices, which cost no integral.
 
 Convergence is declared only when every residual, evaluated at the full
 quadrature tolerance, is inside 0.95 ``power_rel_tol``; the returned
@@ -51,7 +51,7 @@ from .quadrature import BatchRequest, QuadratureError, integrate_or_raise, panel
 
 __all__ = ["SolverSettings", "SolverResult", "SolverError", "achieved_power", "solve_lambda"]
 
-_FD_STEP = 1e-4      # forward-difference step in log price
+_MAX_LOG_STEP = float(np.log(4.0))  # largest move of one log price in one step
 _MAX_HALVINGS = 10   # line-search halvings before the Jacobian is blamed
 _STARVED = 1e-2      # share of its budget below which a user counts as spending 0
 _START_TOL = 1e-2    # relative power residual after which the one-user start stops
@@ -61,7 +61,6 @@ _START_TOL = 1e-2    # relative power residual after which the one-user start st
 class SolverSettings:
     power_rel_tol: float = 1e-6
     max_outer_iters: int = 200
-    bracket_growth: float = 4.0
     mode: CdfMode = CdfMode.CORRECTED
     quad_abs_tol: float = DEFAULT_OUTER_TOL
     tail_epsilon: float = DEFAULT_TAIL_EPS
@@ -69,10 +68,10 @@ class SolverSettings:
     def __post_init__(self):
         if not self.power_rel_tol > 0.0:
             raise ValueError("power_rel_tol must be positive")
+        if isinstance(self.max_outer_iters, bool) or not isinstance(self.max_outer_iters, int):
+            raise ValueError(f"max_outer_iters must be an integer, not {self.max_outer_iters!r}")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
-        if not self.bracket_growth > 1.0:
-            raise ValueError("bracket_growth must exceed 1")
         if not self.quad_abs_tol > 0.0:
             raise ValueError("quad_abs_tol must be positive")
         if not 0.0 < self.tail_epsilon < 1.0:
@@ -86,7 +85,7 @@ class SolverResult:
     certified_residuals: tuple  # re-verified with quadrature tightened tenfold
     sweeps: int                 # Newton steps taken
     power_evals: int
-    jacobian: tuple | None = None  # final d r / d log(lam) as row tuples; None if none was live
+    jacobian: tuple | None = None  # final d r / d log(lam) as row tuples; None if unstepped
 
 
 class SolverError(RuntimeError):
@@ -119,13 +118,13 @@ def _one_user_start(mu, channel, settings):
     Newton in log lam on ``_own_slopes``, one batch of a row per user split at its own kinks
     per iterate, from the 1%/99% gain-quantile guess or, if lower, mu_i/(2 pbar_i), as w is
     at least what a user alone spends.  That power is convex and falling in log lam, so no
-    step up passes the root; steps down are capped at ``bracket_growth`` (the whole cap where
+    step up passes the root; steps down are capped at _MAX_LOG_STEP (the whole cap where
     the slope is 0).  A user stops after the step from a residual under _START_TOL."""
     dists, sigma2, pbar = [u.fading for u in channel.users], channel.sigma2, np.array(channel.pbars)
     q = np.array([(d.quantile(0.99), max(d.quantile(0.01), 1e-12)) for d in dists])
     x = np.log(mu.as_array() / (2.0 * np.maximum(sigma2 * np.sqrt(q[:, 0] * q[:, 1]), pbar)))
     tail = np.array([d.tail_point(settings.tail_epsilon) for d in dists])
-    cap, busy = np.log(settings.bracket_growth), np.arange(channel.n_users)
+    busy = np.arange(channel.n_users)
     while busy.size:
         # in u = h / tail every row's window ends at 1; an empty one is cut to its last 1e-9
         level, top = mu.as_array()[busy] * np.exp(-x[busy]) / 2.0, tail[busy]
@@ -137,7 +136,8 @@ def _one_user_start(mu, channel, settings):
              for r, hr in zip(g, h)]), edges, abs_tol=1e-3 * min(pbar),
             row_name=lambda r: f"one-user start of user {busy[r]}")).values
         r = power / pbar[busy] - 1.0
-        x[busy] += np.clip(r / np.maximum(-_own_slopes(mu, channel, x)[busy], 1e-12), -cap, cap)
+        x[busy] += np.clip(r / np.maximum(-_own_slopes(mu, channel, x)[busy], 1e-12),
+                           -_MAX_LOG_STEP, _MAX_LOG_STEP)
         busy = busy[np.abs(r) > _START_TOL]
     return x
 
@@ -152,19 +152,24 @@ def solve_lambda(mu, channel: ChannelConfig,
     residual is inside tolerance at full quadrature precision.  The start is
     ``initial_lambda`` or the one-user prices, and the Jacobian (m x m,
     d r / d log lam) ``initial_jacobian`` or the one-user slopes there, which
-    ``SolverResult.jacobian`` returns unstepped only when exact, for one user.
-    A ``QuadratureError`` is raised again with the step, iterate and
-    residuals, or in the start with the user's one-user start named.
+    ``SolverResult.jacobian`` returns unstepped only when exact, for one user;
+    a failed search on any other matrix is retried on those slopes at the
+    current prices.  A ``QuadratureError`` is raised again with the step,
+    iterate and residuals, or in the start with the user's one-user start named.
     """
     settings = SolverSettings() if settings is None else settings
     mu = channel.weights(mu)
     m = channel.n_users
+    try:
+        jac = None if initial_jacobian is None else np.array(initial_jacobian, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numbers
+        jac = np.empty(0)
+    if jac is not None and (jac.shape != (m, m) or not np.isfinite(jac).all()):
+        raise ValueError(f"initial_jacobian must be a finite {m} x {m} matrix")
     x = (_one_user_start(mu, channel, settings) if initial_lambda is None
          else np.log(channel.prices(initial_lambda).lam))
-    jac = np.array(np.diag(_own_slopes(mu, channel, x)) if initial_jacobian is None
-                   else initial_jacobian, dtype=float)
-    if jac.shape != (m, m) or not np.isfinite(jac).all():
-        raise ValueError(f"initial_jacobian must be a finite {m} x {m} matrix")
+    # fresh: jac is the one-user slopes at x, so retrying on them is no use
+    jac, fresh = (np.diag(_own_slopes(mu, channel, x)), True) if jac is None else (jac, False)
     pbar, evals = channel.pbars, 0
     tols = [settings.quad_abs_tol * min(1.0, p) for p in pbar]  # scaled to each budget
 
@@ -180,58 +185,35 @@ def solve_lambda(mu, channel: ChannelConfig,
                                   f"lam={tuple(np.exp(x).tolist())}, last residuals {last}",
                                   exc.result) from exc
 
-    def residuals(x, users=range(m)):
-        # Relative power residuals of ``users`` at prices exp(x); others read -1.
+    def residuals(x):
+        # Relative power residuals at prices exp(x).
         nonlocal evals
         lam = LambdaVector(tuple(np.exp(x)))
-        r = np.full(m, -1.0)
-        for i in users:
-            evals += 1
-            r[i] = (power(i, lam, tols[i]) - pbar[i]) / pbar[i]
-        return r
+        evals += m
+        return np.array([(power(i, lam, tols[i]) - pbar[i]) / pbar[i] for i in range(m)])
 
-    def fd_jacobian(x, r, live):
-        # Only the live block is measured: a starved user's power is too small
-        # to difference and barely moves a rival, so its row and column stay 0.
-        users = np.flatnonzero(live).tolist()
-        jac = np.zeros((m, m))
-        for j in users:
-            bumped = x.copy()
-            bumped[j] += _FD_STEP
-            jac[users, j] = (residuals(bumped, users)[users] - r[users]) / _FD_STEP
-        return jac
-
-    max_log_step = float(np.log(settings.bracket_growth))
     # accept 5% inside the contract tolerance so the post-hoc certificate at
     # tighter quadrature cannot be pushed past it by integration noise
     rtol = 0.95 * settings.power_rel_tol
     # read by ``power`` to place a quadrature failure; r is None until the start is evaluated
     r, steps, certifying = None, 0, False
     r = residuals(x)
-    fresh = False  # jac is a forward difference with no Broyden update since
     while np.max(np.abs(r)) > rtol:
         if steps == settings.max_outer_iters:
             raise _stalled(f"no convergence in {steps} Newton steps", x, r)
         live = r > _STARVED - 1.0
-        if jac is None:
-            jac, fresh = fd_jacobian(x, r, live), True
         while True:
-            step = _capped_step(jac, r, live, max_log_step)
-            if step is not None:
-                x_new, r_new = _line_search(residuals, x, r, step, pbar)
-                if x_new is not None:
-                    break
+            x_new, r_new = _line_search(residuals, x, r, _capped_step(jac, r, live), pbar)
+            if x_new is not None:
+                break
             if fresh:
                 raise _stalled(f"no descent step from a fresh Jacobian after "
                                f"{steps} Newton steps", x, r)
-            jac, fresh = fd_jacobian(x, r, live), True
-        if (~live & (r_new > _STARVED - 1.0)).any():
-            jac = None
-        elif live.any():
+            jac, fresh = np.diag(_own_slopes(mu, channel, x)), True
+        if live.any():
             s = np.where(live, x_new - x, 0.0)
             jac += np.outer(np.where(live, r_new - r - jac @ s, 0.0), s) / (s @ s)
-            fresh = False
-        x, r = x_new, r_new
+        x, r, fresh = x_new, r_new, False
         steps += 1
 
     certifying = True
@@ -243,20 +225,20 @@ def solve_lambda(mu, channel: ChannelConfig,
         certified_residuals=tuple((a - p) / p for a, p in zip(achieved, pbar)),
         sweeps=steps,
         power_evals=evals,
-        jacobian=(None if jac is None or steps == 0 and initial_jacobian is None and m > 1
+        jacobian=(None if steps == 0 and initial_jacobian is None and m > 1
                   else tuple(map(tuple, jac.tolist()))),
     )
 
 
-def _capped_step(jac, r, live, max_log_step):
+def _capped_step(jac, r, live):
     """Newton step of the live users scaled to the cap, starved users down by
-    the cap; None when the live block of ``jac`` is singular."""
-    step = np.full(len(r), -max_log_step)
+    the cap; all NaN when the live block of ``jac`` is singular."""
+    step = np.full(len(r), -_MAX_LOG_STEP)
     if live.any():
         newton = _solve(jac[np.ix_(live, live)], -r[live])
         if newton is None:
-            return None
-        step[live] = newton * (max_log_step / max(max_log_step, np.max(np.abs(newton))))
+            return np.full(len(r), np.nan)
+        step[live] = newton * (_MAX_LOG_STEP / max(_MAX_LOG_STEP, np.max(np.abs(newton))))
     return step
 
 
@@ -288,11 +270,11 @@ def _stalled(reason, x, r) -> SolverError:
 
 def _line_search(residuals, x, r, step, pbar):
     """First of lam + d, lam + d/2, ... (lam = exp(x), d = exp(x + step) - lam) whose dual
-    slope -d.(pbar r) is at most half its size at lam, or (None, None), unevaluated if uphill."""
+    slope -d.(pbar r) is at most half that at lam, or (None, None), unevaluated if not downhill."""
     lam = np.exp(x)
     d = np.exp(x + step) - lam
     slope = -(d * pbar) @ r
-    if slope >= 0.0:
+    if not slope < 0.0:
         return None, None
     for k in range(_MAX_HALVINGS + 1):
         x_new = x + step if k == 0 else np.log(lam + d / 2.0 ** k)

@@ -113,7 +113,7 @@ class TestConfigParsing:
         ({"mc": {"n_samples": 0}}, "mc.n_samples"),
         ({"solver": {"power_rel_tol": -1.0}}, "solver.power_rel_tol"),
         ({"solver": {"unexpected": 1}}, "solver.unexpected"),
-        ({"solver": {"bracket_growth": 1.0}}, "^solver.bracket_growth: must exceed 1$"),
+        ({"solver": {"bracket_growth": 4.0}}, "^solver.bracket_growth: unknown field$"),
         ({"solver": {"max_outer_iters": 0}}, "^solver.max_outer_iters: must be at least 1$"),
         ({"quadrature": {"outer_abs_tol": 0.0}}, "^quadrature.outer_abs_tol: must be positive$"),
         ({"quadrature": {"tail_epsilon": 1.0}}, "^quadrature.tail_epsilon: must be in "),
@@ -408,7 +408,6 @@ WRONG_TYPES = {float: ["0.5"], int: [1.5, "1"], str: [1], type(None): [1]}
 RANGE_EDGES = {
     "solver.power_rel_tol": [0.0],
     "solver.max_outer_iters": [0],
-    "solver.bracket_growth": [1.0],
     "quadrature.outer_abs_tol": [0.0],
     "quadrature.tail_epsilon": [0.0, 1.0],
     "mc.n_samples": [0],
