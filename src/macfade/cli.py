@@ -107,7 +107,7 @@ def _as_knot(value, path):
 
 
 def _build(path, make, *args):
-    """``make(*args)``: a library type, whose complaints are reported against ``path``."""
+    """``make(*args)``, a library type or a file write, its complaints reported against ``path``."""
     try:
         return make(*args)
     except (OSError, TypeError, ValueError) as exc:
@@ -300,6 +300,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _check_output(path):
+    """Refuse, before any work, an output path that is a directory or not in one."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise ConfigError(f"output: no such directory {str(Path(path).parent)!r}")
+    if path is not None and Path(path).is_dir():
+        raise ConfigError(f"output: {path!r} is a directory")
+
+
 def _write_csv(cfg: RunConfig, header, rows):
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
@@ -307,8 +315,7 @@ def _write_csv(cfg: RunConfig, header, rows):
     if cfg.output is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output, "w", newline="") as fh:
-            fh.write(text)
+        _build("output", lambda: Path(cfg.output).write_text(text, newline=""))
 
 
 def _require_explicit_mu(cfg: RunConfig) -> RateAwardVector:
@@ -470,6 +477,7 @@ def main(argv=None) -> int:
         if args.dump_config:
             print(dump_config(cfg))
             return EXIT_OK
+        _check_output(cfg.output)
         return _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -138,7 +138,11 @@ class _Vector:
     _field = ""
 
     def __post_init__(self):
-        values = tuple(float(x) for x in getattr(self, self._field))
+        values = tuple(getattr(self, self._field))
+        for x in values:
+            if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{self._field} entries must be numbers, not {x!r}")
+        values = tuple(map(float, values))
         if not values:
             raise ValueError(f"{self._field} must be nonempty")
         self._check(values)

@@ -8,16 +8,17 @@ both CDF modes:
 
 - a cold solve starts where each user alone would spend its budget (its
   one-user water-filling price); the Jacobian starts as the closed-form
-  one-user own-price slopes, a diagonal, or as a neighbouring solve's final
-  matrix, and its live block takes a Broyden update after every step;
-- each step is capped so no price moves by more than a factor of 4; a
-  starved user, spending under 1% of its budget, is left out of the Newton
-  block and lowers its own price by the full factor;
-- every step, starved users' too, is halved along its price segment until
-  the slope of the convex dual g(lam) = sum mu_i R_i - lam.(P - pbar) is at
-  most half its start value; an uphill step, or a failed search on a carried
-  or updated Jacobian, is retried once on the one-user slopes at the current
-  prices, which cost no integral.
+  one-user own-price slopes, a diagonal floored at -1e-12, or as a
+  neighbouring solve's final matrix, and takes a Broyden update after every
+  step;
+- each Newton step is scaled down so no price moves by more than a factor
+  of 4; a user that spends nothing has a floored slope, so its step asks for
+  far more than the cap and lowers its price by about the full factor;
+- every step is halved along its price segment until the slope of the
+  convex dual g(lam) = sum mu_i R_i - lam.(P - pbar) is at most half its
+  start value; an uphill step, or a failed search on a carried or updated
+  Jacobian, is retried once on the one-user slopes at the current prices,
+  which cost no integral.
 
 Convergence is declared only when every residual, evaluated at the full
 quadrature tolerance, is inside 0.95 ``power_rel_tol``; the returned
@@ -53,7 +54,6 @@ __all__ = ["SolverSettings", "SolverResult", "SolverError", "achieved_power", "s
 
 _MAX_LOG_STEP = float(np.log(4.0))  # largest move of one log price in one step
 _MAX_HALVINGS = 10   # line-search halvings before the Jacobian is blamed
-_STARVED = 1e-2      # share of its budget below which a user counts as spending 0
 _START_TOL = 1e-2    # relative power residual after which the one-user start stops
 
 
@@ -107,10 +107,11 @@ def achieved_power(i: int, mu, lam, channel: ChannelConfig,
 
 
 def _own_slopes(mu, channel, x):
-    """Each user's d r_i / d log lam_i alone at exp(x): -(w_i/pbar_i)(1 - F_i(sigma2/w_i))."""
+    """Each user's d r_i / d log lam_i alone at exp(x), -(w_i/pbar_i)(1 - F_i(sigma2/w_i)),
+    floored at -1e-12: a user that spends nothing then asks to step down far past the cap."""
     level = mu.as_array() * np.exp(-x) / 2.0  # w_i = mu_i/(2 lam_i), the water level
     spend = [1.0 - u.fading._cdf_raw(channel.sigma2 / w) for u, w in zip(channel.users, level)]
-    return -level * spend / channel.pbars
+    return np.minimum(-level * spend / channel.pbars, -1e-12)
 
 
 def _one_user_start(mu, channel, settings):
@@ -136,8 +137,7 @@ def _one_user_start(mu, channel, settings):
              for r, hr in zip(g, h)]), edges, abs_tol=1e-3 * min(pbar),
             row_name=lambda r: f"one-user start of user {busy[r]}")).values
         r = power / pbar[busy] - 1.0
-        x[busy] += np.clip(r / np.maximum(-_own_slopes(mu, channel, x)[busy], 1e-12),
-                           -_MAX_LOG_STEP, _MAX_LOG_STEP)
+        x[busy] += np.clip(r / -_own_slopes(mu, channel, x)[busy], -_MAX_LOG_STEP, _MAX_LOG_STEP)
         busy = busy[np.abs(r) > _START_TOL]
     return x
 
@@ -201,18 +201,16 @@ def solve_lambda(mu, channel: ChannelConfig,
     while np.max(np.abs(r)) > rtol:
         if steps == settings.max_outer_iters:
             raise _stalled(f"no convergence in {steps} Newton steps", x, r)
-        live = r > _STARVED - 1.0
         while True:
-            x_new, r_new = _line_search(residuals, x, r, _capped_step(jac, r, live), pbar)
+            x_new, r_new = _line_search(residuals, x, r, _capped_step(jac, r), pbar)
             if x_new is not None:
                 break
             if fresh:
                 raise _stalled(f"no descent step from a fresh Jacobian after "
                                f"{steps} Newton steps", x, r)
             jac, fresh = np.diag(_own_slopes(mu, channel, x)), True
-        if live.any():
-            s = np.where(live, x_new - x, 0.0)
-            jac += np.outer(np.where(live, r_new - r - jac @ s, 0.0), s) / (s @ s)
+        s = x_new - x
+        jac += np.outer(r_new - r - jac @ s, s) / (s @ s)
         x, r, fresh = x_new, r_new, False
         steps += 1
 
@@ -230,16 +228,12 @@ def solve_lambda(mu, channel: ChannelConfig,
     )
 
 
-def _capped_step(jac, r, live):
-    """Newton step of the live users scaled to the cap, starved users down by
-    the cap; all NaN when the live block of ``jac`` is singular."""
-    step = np.full(len(r), -_MAX_LOG_STEP)
-    if live.any():
-        newton = _solve(jac[np.ix_(live, live)], -r[live])
-        if newton is None:
-            return np.full(len(r), np.nan)
-        step[live] = newton * (_MAX_LOG_STEP / max(_MAX_LOG_STEP, np.max(np.abs(newton))))
-    return step
+def _capped_step(jac, r):
+    """Newton step scaled to the cap; all NaN when ``jac`` is singular."""
+    step = _solve(jac.copy(), -r)
+    if step is None:
+        return np.full(len(r), np.nan)
+    return step * (_MAX_LOG_STEP / max(_MAX_LOG_STEP, np.max(np.abs(step))))
 
 
 def _solve(a, b):

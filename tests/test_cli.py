@@ -104,6 +104,25 @@ class TestConfigParsing:
         cfg = load_config(write_config(tmp_path, overrides))
         assert cfg.channel.users[0].fading.h_knots == (0.0, 1.0, 3.0)
 
+    def test_empirical_csv_is_found_beside_the_config(self, tmp_path, monkeypatch):
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "trace.csv").write_text("h,F\n0.0,0.0\n1.0,0.4\n3.0,1.0\n")
+        overrides = {
+            "channel": {
+                "sigma2": 1.0,
+                "users": [
+                    {"fading": {"kind": "empirical", "csv": "data/trace.csv"}, "pbar": 1.0},
+                ],
+            },
+            "mu": [1.0],
+        }
+        path = write_config(tmp_path, overrides)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        cfg = load_config(path)
+        assert cfg.channel.users[0].fading.h_knots == (0.0, 1.0, 3.0)
+
     @pytest.mark.parametrize("overrides,needle", [
         ({"channel": {"users": []}}, "channel"),
         ({"mode": "wrong"}, "mode"),
@@ -117,6 +136,7 @@ class TestConfigParsing:
         ({"solver": {"max_outer_iters": 0}}, "^solver.max_outer_iters: must be at least 1$"),
         ({"quadrature": {"outer_abs_tol": 0.0}}, "^quadrature.outer_abs_tol: must be positive$"),
         ({"quadrature": {"tail_epsilon": 1.0}}, "^quadrature.tail_epsilon: must be in "),
+        ({"mu": ["0.7", 0.3]}, "^mu: mu entries must be numbers, not '0.7'$"),
     ])
     def test_malformed_configs_name_the_field(self, tmp_path, overrides, needle):
         with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
@@ -217,6 +237,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("did not converge") == 1
         assert "one-user start of user 0: quadrature did not converge" in err
+
+    @pytest.mark.parametrize("command, where", [("solve", "config"), ("boundary", "flag")])
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/x.csv", "no such directory '{dir}/missing'"),
+        (".", "'{dir}' is a directory"),
+    ])
+    def test_bad_output_path_fails_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                    command, where, target, reason):
+        def never(*args, **kwargs):
+            pytest.fail("solve_lambda ran before the output path was checked")
+
+        monkeypatch.setattr(macfade.cli, "solve_lambda", never)
+        monkeypatch.setattr(macfade.boundary, "solve_lambda", never)
+        out = str(tmp_path / target)
+        mu = [0.7, 0.3] if command == "solve" else {"resolution": 2}
+        if where == "config":
+            args = ["--config", write_config(tmp_path, {"mu": mu, "output": out})]
+        else:
+            args = ["--config", write_config(tmp_path, {"mu": mu}), "--output", out]
+        assert main([command, *args]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: output: {reason.format(dir=tmp_path)}\n")
+
+    def test_output_flag_replaces_a_bad_config_output(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        path = write_config(tmp_path, {"output": str(tmp_path / "missing" / "x.csv")})
+        assert main(["solve", "--config", path, "--output", str(good), "--dump-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["output"] == str(good)
+        assert main(["solve", "--config", path, "--output", str(good)]) == 0
+        assert good.read_text().startswith("mode,user,mu,")
+
+    def test_output_write_failure_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the directory checked at load is gone when the CSV is written
+        folder = tmp_path / "out"
+        folder.mkdir()
+        solve = macfade.cli.solve_lambda
+
+        def solve_then_remove(*args, **kwargs):
+            folder.rmdir()
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(macfade.cli, "solve_lambda", solve_then_remove)
+        path = write_config(tmp_path, {"output": str(folder / "x.csv")})
+        assert main(["solve", "--config", path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("corrected: converged in ")
+        assert re.fullmatch(r"config error: output: \[Errno 2\] No such file or directory: .*",
+                            err[1])
+        assert len(err) == 2
 
     def test_bad_thread_override_is_config_error(self, tmp_path, capsys):
         assert main(["solve", "--config", write_config(tmp_path), "--threads", "0"]) == 1

@@ -47,6 +47,8 @@ BAD_INPUTS = {
     "3-entry mu": ((0.5, 0.3, 0.2), LAM),
     "3-entry lam": (MU, (0.2, 0.3, 0.1)),
     "mu off the simplex": ((5.0, 0.4), LAM),
+    "string weight": (("0.6", 0.4), LAM),
+    "bool price": (MU, (True, 0.3)),
 }
 
 

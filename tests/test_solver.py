@@ -275,12 +275,23 @@ class TestSolveLambda:
 
     @pytest.mark.parametrize("mode", list(CdfMode))
     def test_narrow_uniform_pair_stays_within_bound(self, mode):
-        # The users take turns at spending nothing; a forward difference at
-        # each revival once cost this pair 210 power integrals.
+        # Two nearly equal narrow users: near a solution each spends almost
+        # nothing by turns.
         channel = ChannelConfig(1.0, (UserSpec(UniformGain(1.0, 1.001), 1.0),
                                       UserSpec(UniformGain(0.999, 1.0), 1.0)))
         result = solve_lambda(RateAwardVector((0.5, 0.5)), channel, SolverSettings(mode=mode))
-        assert result.power_evals <= 180
+        assert result.power_evals <= 100
+        for res in result.certified_residuals:
+            assert abs(res) <= 1e-6
+
+    @pytest.mark.parametrize("mode", list(CdfMode))
+    def test_start_far_on_the_low_power_side(self, mode):
+        # every price 1e2: no user spends anything, so every slope is the
+        # floor and the first step lowers every price by the cap
+        channel = expo_channel(3, means=[0.5, 1.0, 2.0])
+        result = solve_lambda(RateAwardVector((0.5, 0.3, 0.2)), channel,
+                              SolverSettings(mode=mode), initial_lambda=(1e2, 1e2, 1e2))
+        assert result.power_evals <= 80
         for res in result.certified_residuals:
             assert abs(res) <= 1e-6
 
