@@ -23,6 +23,7 @@ from .kernel import (
     RateAwardVector,
     DEFAULT_OUTER_TOL,
     DEFAULT_TAIL_EPS,
+    is_int,
     outer_request,
     rate_integrand,
 )
@@ -86,10 +87,10 @@ def rate_point(mu, lam, channel: ChannelConfig,
 
 def check_grid(n_users: int, resolution: int, mu_min: float) -> None:
     """Raise ``ValueError``, led by the argument's name, unless ``n_users`` and ``resolution``
-    are ints (not bools), 1 <= n_users <= resolution, and ``mu_min`` is in (0, 1/resolution]."""
-    if isinstance(n_users, bool) or not isinstance(n_users, int) or n_users < 1:
+    are integers (not bools), 1 <= n_users <= resolution, and ``mu_min`` is in (0, 1/resolution]."""
+    if not is_int(n_users) or n_users < 1:
         raise ValueError(f"n_users must be a positive integer, not {n_users!r}")
-    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < n_users:
+    if not is_int(resolution) or resolution < n_users:
         raise ValueError(f"resolution must be an integer >= n_users = {n_users}, not {resolution!r}")
     if (isinstance(mu_min, bool) or not isinstance(mu_min, (int, float))
             or not 0.0 < mu_min <= 1.0 / resolution):

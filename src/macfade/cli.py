@@ -452,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--output", help="write the CSV here instead of stdout")
         cmd.add_argument("--mode", choices=_MODES, help="override the config mode")
         cmd.add_argument("--units", choices=_UNITS, help="override the config rate units")
-        cmd.add_argument("--threads", type=int, help="override the config thread count")
+        cmd.add_argument("--threads", type=int, help="range-checked; no effect on any output")
         cmd.add_argument("--dump-config", action="store_true",
                          help="print the effective config as JSON and exit")
     return parser

@@ -27,7 +27,7 @@ goes to one such call, and the z-range splits, by the same edge rule, at
 the levels where a user's positivity threshold or a case boundary
 reaches a kink.
 
-All functions here are pure; everything is safe to evaluate concurrently.
+All functions here are pure; everything is safe to call from several threads at once.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class UserSpec:
 class ChannelConfig:
     """Receiver noise variance plus the per-user fading laws and power budgets.
 
-    Every library call that takes weights or prices checks them here, with
-    :meth:`weights` and :meth:`prices`.
+    Every library call that takes a user index, weights or prices checks
+    them here, with :meth:`user_index`, :meth:`weights` and :meth:`prices`.
     """
 
     sigma2: float
@@ -113,6 +113,11 @@ class ChannelConfig:
     def pbars(self) -> tuple:
         return tuple(u.pbar for u in self.users)
 
+    def user_index(self, i) -> int:
+        if not (is_int(i) and 0 <= i < self.n_users):
+            raise ValueError(f"user index must be an integer in [0, {self.n_users}), not {i!r}")
+        return int(i)
+
     def weights(self, mu) -> "RateAwardVector":
         """``mu`` checked as this channel's weight vector, built from a sequence if need be."""
         return self._vector(RateAwardVector, mu)
@@ -126,6 +131,11 @@ class ChannelConfig:
         if len(vector) != self.n_users:
             raise ValueError(f"{kind._field} has {len(vector)} entries for {self.n_users} users")
         return vector
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class _Vector:
@@ -214,6 +224,7 @@ def _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps, quantity):
     and ``"power"`` adds the transmit-power weight 1/h.  Returns a float for
     a scalar ``z``, else an array shaped like ``z``.
     """
+    i, mode = channel.user_index(i), CdfMode(mode)
     mu_arr, lam_arr = channel.weights(mu).as_array(), channel.prices(lam).as_array()
     sigma2 = channel.sigma2
     dist_i = channel.users[i].fading
@@ -307,6 +318,7 @@ def outer_request(inner, i: int, mu, lam, channel: ChannelConfig, mode: CdfMode,
     rest of the outer integrand is negligible.  Returns None when that
     window is empty.
     """
+    i, mode = channel.user_index(i), CdfMode(mode)
     mu, lam = channel.weights(mu), channel.prices(lam)
     tail_gain = channel.users[i].fading.tail_point(tail_eps)
     z_top = mu[i] * tail_gain / (2.0 * lam[i]) - channel.sigma2

@@ -19,29 +19,28 @@ out, setting enter_i = +inf.  Winning [z_lo, z_hi] earns rate
 earns exactly 0, so no step writes through a random per-state mask.
 
 Randomness is counter-based: chunk j of a run draws its gains from
-Philox(key=seed, counter=j << 128), and the estimate adds per-chunk partial
-sums in chunk order, so any parallel split over whole chunks reproduces the
-serial result bit for bit.  The chunk size is therefore part of the stream
-contract, not a tuning knob.
+Philox(key=seed, counter=j << 128), and the estimate adds per-chunk sums
+in chunk order, so any split of the run over whole chunks would reproduce
+the one-thread result bit for bit.  The chunk size is therefore part of
+the stream contract, not a tuning knob.
 
-Each worker owns one (4, m, 2, CHUNK_SIZE) block of r, r^2, p and p^2, and
-takes every workers-th pair of chunks, so each numpy call covers two chunks.
+The run owns one (4, m, 2, CHUNK_SIZE) block of r, r^2, p and p^2 and
+takes the chunks two at a time, so each numpy call covers two chunks.
 Both chunks are drawn user-major, one contiguous row of states per user,
 straight into the block's p row.  One allocation runs over the block, and
 one ``np.sum`` per chunk over its slice of the last axis yields that
 chunk's column sums.  The sum order is the contract that keeps the bytes:
 each user's column of a chunk is summed pairwise (numpy's order for a
-contiguous vector), and the per-chunk partials are added in chunk order.
+contiguous vector), and the per-chunk sums are added in chunk order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ChannelConfig
+from .kernel import ChannelConfig, is_int
 
 __all__ = [
     "McEstimate",
@@ -51,7 +50,7 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 4096
-_PASS_CHUNKS = 2  # chunks a numpy pass covers; four put a 2-user worker at 1.3 MB
+_PASS_CHUNKS = 2  # chunks a numpy pass covers; four put a 2-user run at 1.3 MB
 
 
 @dataclass(frozen=True)
@@ -161,10 +160,10 @@ def _allocate_chunk(gains: np.ndarray, mu_arr: np.ndarray, lam_arr: np.ndarray,
 
 
 def check_run(n_samples: int, seed: int, threads: int) -> None:
-    """Raise ``ValueError``, led by the argument's name, unless each is an int (not a
+    """Raise ``ValueError``, led by the argument's name, unless each is an integer (not a
     bool), n_samples and threads are at least 1 and seed is in [0, 2**128), Philox's keys."""
     for name, value, low in (("n_samples", n_samples, 1), ("seed", seed, 0), ("threads", threads, 1)):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_int(value):
             raise ValueError(f"{name} must be an integer, not {value!r}")
         if value < low:
             raise ValueError(f"{name} must be at least {low}, not {value}")
@@ -176,44 +175,30 @@ def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
              threads: int = 1) -> McEstimate:
     """Sample means and standard errors of per-user rates and transmit powers.
 
-    Estimates are bit-identical for any thread count.
+    The run takes the chunks two at a time on the calling thread.
+    ``threads`` is range-checked like the other arguments and changes
+    nothing.
     """
     mu_arr, lam_arr = channel.weights(mu).as_array(), channel.prices(lam).as_array()
     sigma2 = channel.sigma2
     m = channel.n_users
     check_run(n_samples, seed, threads)
     n_chunks = -(-n_samples // CHUNK_SIZE)
-    n_passes = -(-n_chunks // _PASS_CHUNKS)
-    partials = np.empty((n_chunks, 4, m))
-    workers = min(threads, n_passes)
-
-    def run(w):
-        # Worker w reduces chunk pairs w, w + workers, ... in its own block; the
-        # run's last pass may be a slice whose last axis is still contiguous.
-        block = np.empty((4, m, _PASS_CHUNKS, CHUNK_SIZE))  # r, r^2, p, p^2, user-major
-        flat = block.reshape(4, m, _PASS_CHUNKS * CHUNK_SIZE)
-        for q in range(w, n_passes, workers):
-            chunks = range(q * _PASS_CHUNKS, min(n_chunks, (q + 1) * _PASS_CHUNKS))
-            for c, j in enumerate(chunks):
-                state_chunk(channel, seed, j, out=block[2, :, c])
-            rows = n_samples - chunks.start * CHUNK_SIZE  # more than the block holds but on the last pass
-            work = flat[..., :rows]
-            _allocate_chunk(work[2].T, mu_arr, lam_arr, sigma2, out=work)
-            np.multiply(work[0], work[0], out=work[1])
-            np.multiply(work[2], work[2], out=work[3])
-            for c, j in enumerate(chunks):
-                np.sum(block[:, :, c, :rows - c * CHUNK_SIZE], axis=2, out=partials[j])
-
-    # The calling thread is worker 0, so a run holds one thread's working
-    # memory fewer than a pool of ``threads`` would; one worker starts none.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, w) for w in range(1, workers)]
-        run(0)
-        for future in futures:
-            future.result()
-    total = 0  # the per-chunk partials, added in chunk order
-    for part in partials:
-        total = total + part
+    block = np.empty((4, m, _PASS_CHUNKS, CHUNK_SIZE))  # r, r^2, p, p^2, user-major
+    flat = block.reshape(4, m, _PASS_CHUNKS * CHUNK_SIZE)
+    total = 0  # the per-chunk sums, added in chunk order
+    for start in range(0, n_chunks, _PASS_CHUNKS):
+        chunks = range(start, min(n_chunks, start + _PASS_CHUNKS))
+        for c, j in enumerate(chunks):
+            state_chunk(channel, seed, j, out=block[2, :, c])
+        # the last pass may be a slice whose last axis is still contiguous
+        rows = n_samples - start * CHUNK_SIZE  # more than the block holds but on the last pass
+        work = flat[..., :rows]
+        _allocate_chunk(work[2].T, mu_arr, lam_arr, sigma2, out=work)
+        np.multiply(work[0], work[0], out=work[1])
+        np.multiply(work[2], work[2], out=work[3])
+        for c in range(len(chunks)):
+            total = total + np.sum(block[:, :, c, :rows - c * CHUNK_SIZE], axis=2)
     sum_r, sum_r2, sum_p, sum_p2 = total
 
     n = float(n_samples)
@@ -232,5 +217,5 @@ def estimate(channel: ChannelConfig, mu, lam, n_samples: int, seed: int,
         powers=tuple(mean_p),
         rate_se=tuple(se_r),
         power_se=tuple(se_p),
-        n_samples=n_samples,
+        n_samples=int(n_samples),
     )

@@ -45,6 +45,7 @@ from .kernel import (
     LambdaVector,
     DEFAULT_OUTER_TOL,
     DEFAULT_TAIL_EPS,
+    is_int,
     outer_request,
     power_integrand,
 )
@@ -68,7 +69,8 @@ class SolverSettings:
     def __post_init__(self):
         if not self.power_rel_tol > 0.0:
             raise ValueError("power_rel_tol must be positive")
-        if isinstance(self.max_outer_iters, bool) or not isinstance(self.max_outer_iters, int):
+        object.__setattr__(self, "mode", CdfMode(self.mode))
+        if not is_int(self.max_outer_iters):
             raise ValueError(f"max_outer_iters must be an integer, not {self.max_outer_iters!r}")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")

@@ -37,7 +37,7 @@ runs one chunk at a time: state-major draws, the closed-form allocation on
 (n, m) arrays, each user's r, r^2, p and p^2 column summed as one
 contiguous vector (numpy's pairwise order) and partials added in chunk
 order.  It pins every output byte, so ``montecarlo.estimate`` must equal it
-with ``==`` however it splits chunks over threads.
+with ``==`` whatever ``threads`` it is given.
 ``reference_estimate_win_probability`` draws the same stream the same way
 and is the only win-probability estimator: acceptance 5 checks
 ``kernel.win_probability`` against it.

@@ -120,6 +120,7 @@ class TestSimplexGrid:
             simplex_grid(3, 2)
         with pytest.raises(ValueError):
             simplex_grid(2, 10, mu_min=0.5)
+        assert simplex_grid(np.int64(2), np.int64(4)) == simplex_grid(2, 4)
 
     @pytest.mark.parametrize("n_users, resolution", [(0, 0), (0, 1), (-1, 3), (True, 3)])
     def test_user_count_is_named(self, n_users, resolution):

@@ -3,10 +3,14 @@
 Each entry that takes mu or lam must raise ``ValueError`` on a price that is
 not positive and finite, on weights off the simplex, and on a vector whose
 length is not the channel's user count, instead of returning a number.
+Each entry that takes a CDF mode accepts its members and their values
+"corrected" and "naive" alike and refuses anything else, and each that
+takes a user index refuses one that is not an integer in [0, n_users).
 The package exports exactly its public names, and each one resolves.
 """
 
 import math
+import re
 
 import pytest
 
@@ -14,6 +18,7 @@ import macfade
 from macfade.boundary import rate_point
 from macfade.fading import ExponentialGain, UniformGain
 from macfade.kernel import (
+    CdfMode,
     ChannelConfig,
     UserSpec,
     power_integrand,
@@ -21,7 +26,7 @@ from macfade.kernel import (
     win_probability,
 )
 from macfade.montecarlo import estimate
-from macfade.solver import achieved_power, solve_lambda
+from macfade.solver import SolverSettings, achieved_power, solve_lambda
 
 CHANNEL = ChannelConfig(1.0, (UserSpec(ExponentialGain(1.0), 1.0),
                               UserSpec(UniformGain(0.3, 2.5), 1.0)))
@@ -58,6 +63,47 @@ def test_bad_weights_or_prices_raise_value_error(entry, bad):
     mu, lam = BAD_INPUTS[bad]
     with pytest.raises(ValueError):
         ENTRIES[entry](mu, lam)
+
+
+MODE_ENTRIES = {
+    "win_probability": lambda mode: win_probability(0, Z, MU, LAM, CHANNEL, mode),
+    "rate_integrand": lambda mode: rate_integrand(0, Z, MU, LAM, CHANNEL, mode),
+    "power_integrand": lambda mode: power_integrand(0, Z, MU, LAM, CHANNEL, mode),
+    "achieved_power": lambda mode: achieved_power(0, MU, LAM, CHANNEL, mode),
+    "rate_point": lambda mode: rate_point((0.7, 0.3), LAM, CHANNEL, mode),
+    "solve_lambda": lambda mode: solve_lambda((0.7, 0.3), CHANNEL, SolverSettings(mode=mode)).lam,
+}
+
+
+@pytest.mark.parametrize("entry", MODE_ENTRIES)
+def test_mode_value_equals_its_member(entry):
+    results = {mode: MODE_ENTRIES[entry](mode) for mode in CdfMode}
+    assert results[CdfMode.CORRECTED] != results[CdfMode.NAIVE_ZERO]  # the modes differ here
+    for mode, expected in results.items():
+        assert MODE_ENTRIES[entry](mode.value) == expected
+
+
+@pytest.mark.parametrize("mode", ["bogus", None])
+@pytest.mark.parametrize("entry", MODE_ENTRIES)
+def test_unknown_mode_raises_value_error(entry, mode):
+    with pytest.raises(ValueError, match="is not a valid CdfMode"):
+        MODE_ENTRIES[entry](mode)
+
+
+INDEX_ENTRIES = {
+    "win_probability": lambda i: win_probability(i, Z, MU, LAM, CHANNEL),
+    "rate_integrand": lambda i: rate_integrand(i, Z, MU, LAM, CHANNEL),
+    "power_integrand": lambda i: power_integrand(i, Z, MU, LAM, CHANNEL),
+    "achieved_power": lambda i: achieved_power(i, MU, LAM, CHANNEL),
+}
+
+
+@pytest.mark.parametrize("index", [-1, 2, True, 1.0], ids=repr)
+@pytest.mark.parametrize("entry", INDEX_ENTRIES)
+def test_bad_user_index_raises_value_error(entry, index):
+    with pytest.raises(ValueError, match=rf"^user index must be an integer in \[0, 2\), "
+                                         rf"not {re.escape(repr(index))}$"):
+        INDEX_ENTRIES[entry](index)
 
 
 EXPORTS = [

@@ -304,6 +304,7 @@ class TestSolveLambda:
             with pytest.raises(ValueError, match=r"^max_outer_iters must be an integer, "
                                                  rf"not {re.escape(repr(cap))}$"):
                 SolverSettings(max_outer_iters=cap)
+        assert SolverSettings(max_outer_iters=np.int64(50)).max_outer_iters == 50
         with pytest.raises(ValueError):
             SolverSettings(quad_abs_tol=0.0)
         with pytest.raises(ValueError):

@@ -1,21 +1,16 @@
-"""Monte Carlo estimator throughput on 1 and 2 threads, written to BENCH_mc.json.
+"""Monte Carlo estimator throughput on one thread, written to BENCH_mc.json.
 
 Usage:
     python3 tools/bench_mc.py [--states N] [--runs K] [--out PATH]
 
 For m = 1, 2 and 3 exponential users at fixed weights and prices, each
 figure is the median of K timed ``montecarlo.estimate`` calls of N states
-(default 2^20, K = 9).  The 1- and 2-thread calls alternate, each pair
-starting with the other thread count than the last, so slow drift in the
-host's speed falls on both sides alike.  A warm-up call per user count runs
-first.  The 2-thread row also gives the min, median and max of the K
-per-round ratios of 2- to 1-thread states/s (1-thread wall over 2-thread
-wall), which show how far one run of the script can be trusted.  The
-tracemalloc peak of each user count and thread count is taken from one
-more call outside the timed ones, since tracing slows allocation.  The
-1-thread row's ``allocate_us_per_pass`` is the median time of
-``_allocate_chunk`` alone over one two-chunk block (the stream's first two
-chunks), restored before each of ALLOCATE_CALLS timed calls.
+(default 2^20, K = 9), after one warm-up call per user count.  The
+tracemalloc peak of each user count is taken from one more call outside
+the timed ones, since tracing slows allocation.  ``allocate_us_per_pass``
+is the median time of ``_allocate_chunk`` alone over one two-chunk block
+(the stream's first two chunks), restored before each of ALLOCATE_CALLS
+timed calls.
 The program is imported from ``src/`` beside this directory.
 """
 
@@ -42,7 +37,6 @@ from macfade.kernel import ChannelConfig, UserSpec  # noqa: E402
 from macfade.montecarlo import CHUNK_SIZE, _allocate_chunk, estimate, state_chunk  # noqa: E402
 
 SEED = 1
-THREADS = (1, 2)
 ALLOCATE_CALLS = 301
 # (gain means, weights, prices) per user count; every user wins some states
 SCENARIOS = {
@@ -52,16 +46,16 @@ SCENARIOS = {
 }
 
 
-def timed(channel, mu, lam, states, threads) -> float:
+def timed(channel, mu, lam, states) -> float:
     start = time.perf_counter()
-    estimate(channel, mu, lam, states, SEED, threads=threads)
+    estimate(channel, mu, lam, states, SEED)
     return time.perf_counter() - start
 
 
-def peak_kb(channel, mu, lam, states, threads) -> float:
+def peak_kb(channel, mu, lam, states) -> float:
     tracemalloc.start()
     try:
-        estimate(channel, mu, lam, states, SEED, threads=threads)
+        estimate(channel, mu, lam, states, SEED)
         return tracemalloc.get_traced_memory()[1] / 1024.0
     finally:
         tracemalloc.stop()
@@ -88,23 +82,12 @@ def bench(states: int, runs: int) -> list:
     rows = []
     for m, (means, mu, lam) in SCENARIOS.items():
         channel = ChannelConfig(1.0, tuple(UserSpec(ExponentialGain(g), 1.0) for g in means))
-        estimate(channel, mu, lam, states, SEED, threads=1)
-        walls = {threads: [] for threads in THREADS}
-        for run in range(runs):
-            for threads in THREADS[::-1] if run % 2 else THREADS:
-                walls[threads].append(timed(channel, mu, lam, states, threads))
-        for threads in THREADS:
-            wall = statistics.median(walls[threads])
-            rows.append({"users": m, "threads": threads, "states_per_s": round(states / wall),
-                         "median_wall_s": round(wall, 5),
-                         "tracemalloc_peak_kb": round(peak_kb(channel, mu, lam, states, threads), 1)})
-        t1, t2 = rows[-2]["states_per_s"], rows[-1]["states_per_s"]
-        rows[-1]["states_per_s_t2_over_t1"] = round(t2 / t1, 3)
-        ratios = [a / b for a, b in zip(walls[1], walls[2])]
-        rows[-1]["t2_over_t1_per_round"] = {
-            "min": round(min(ratios), 3), "median": round(statistics.median(ratios), 3),
-            "max": round(max(ratios), 3)}
-        rows[-2]["allocate_us_per_pass"] = round(allocate_us_per_pass(channel, mu, lam), 1)
+        estimate(channel, mu, lam, states, SEED)
+        wall = statistics.median(timed(channel, mu, lam, states) for _ in range(runs))
+        rows.append({"users": m, "states_per_s": round(states / wall),
+                     "median_wall_s": round(wall, 5),
+                     "tracemalloc_peak_kb": round(peak_kb(channel, mu, lam, states), 1),
+                     "allocate_us_per_pass": round(allocate_us_per_pass(channel, mu, lam), 1)})
     return rows
 
 
