@@ -138,6 +138,11 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer or float, and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 class _Vector:
     """Tuple plumbing shared by the weight and price vectors.
 
@@ -150,7 +155,7 @@ class _Vector:
     def __post_init__(self):
         values = tuple(getattr(self, self._field))
         for x in values:
-            if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+            if not is_real(x):
                 raise ValueError(f"{self._field} entries must be numbers, not {x!r}")
         values = tuple(map(float, values))
         if not values:
@@ -230,6 +235,8 @@ def _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps, quantity):
     dist_i = channel.users[i].fading
     z_arr = np.asarray(z, dtype=float)
     zs = z_arr.ravel()
+    if not np.all(zs >= 0.0):  # refuses NaN too; +inf is a level no gain wins at
+        raise ValueError(f"interference level z must be nonnegative, not {z!r}")
     lower = 2.0 * lam_arr[i] * (sigma2 + zs) / mu_arr[i]
     upper = dist_i.tail_point(tail_eps)
     out = np.zeros(zs.shape)

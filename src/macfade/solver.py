@@ -46,6 +46,7 @@ from .kernel import (
     DEFAULT_OUTER_TOL,
     DEFAULT_TAIL_EPS,
     is_int,
+    is_real,
     outer_request,
     power_integrand,
 )
@@ -67,6 +68,9 @@ class SolverSettings:
     tail_epsilon: float = DEFAULT_TAIL_EPS
 
     def __post_init__(self):
+        for name in ("power_rel_tol", "quad_abs_tol", "tail_epsilon"):
+            if not (is_real(value := getattr(self, name)) and abs(value) < np.inf):
+                raise ValueError(f"{name} must be a finite number, not {value!r}")
         if not self.power_rel_tol > 0.0:
             raise ValueError("power_rel_tol must be positive")
         object.__setattr__(self, "mode", CdfMode(self.mode))

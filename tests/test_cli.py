@@ -136,6 +136,8 @@ class TestConfigParsing:
         ({"solver": {"max_outer_iters": 0}}, "^solver.max_outer_iters: must be at least 1$"),
         ({"quadrature": {"outer_abs_tol": 0.0}}, "^quadrature.outer_abs_tol: must be positive$"),
         ({"quadrature": {"tail_epsilon": 1.0}}, "^quadrature.tail_epsilon: must be in "),
+        ({"solver": {"power_rel_tol": math.inf}},
+         "^solver.power_rel_tol: must be a finite number, not inf$"),
         ({"mu": ["0.7", 0.3]}, "^mu: mu entries must be numbers, not '0.7'$"),
     ])
     def test_malformed_configs_name_the_field(self, tmp_path, overrides, needle):
@@ -475,10 +477,10 @@ class TestDumpConfig:
 # values for the five the library range-checks.
 WRONG_TYPES = {float: ["0.5"], int: [1.5, "1"], str: [1], type(None): [1]}
 RANGE_EDGES = {
-    "solver.power_rel_tol": [0.0],
+    "solver.power_rel_tol": [0.0, math.inf],
     "solver.max_outer_iters": [0],
-    "quadrature.outer_abs_tol": [0.0],
-    "quadrature.tail_epsilon": [0.0, 1.0],
+    "quadrature.outer_abs_tol": [0.0, math.inf],
+    "quadrature.tail_epsilon": [0.0, 1.0, math.inf],
     "mc.n_samples": [0],
     "mc.seed": [-1, 2**128],
     "mode": ["sideways"],

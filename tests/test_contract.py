@@ -6,12 +6,15 @@ length is not the channel's user count, instead of returning a number.
 Each entry that takes a CDF mode accepts its members and their values
 "corrected" and "naive" alike and refuses anything else, and each that
 takes a user index refuses one that is not an integer in [0, n_users).
+Each kernel entry refuses an interference level that is negative or NaN,
+and gives 0 at +inf, where no gain wins.
 The package exports exactly its public names, and each one resolves.
 """
 
 import math
 import re
 
+import numpy as np
 import pytest
 
 import macfade
@@ -104,6 +107,26 @@ def test_bad_user_index_raises_value_error(entry, index):
     with pytest.raises(ValueError, match=rf"^user index must be an integer in \[0, 2\), "
                                          rf"not {re.escape(repr(index))}$"):
         INDEX_ENTRIES[entry](index)
+
+
+LEVEL_ENTRIES = {
+    "win_probability": lambda z: win_probability(0, z, MU, LAM, CHANNEL),
+    "rate_integrand": lambda z: rate_integrand(0, z, MU, LAM, CHANNEL),
+    "power_integrand": lambda z: power_integrand(0, z, MU, LAM, CHANNEL),
+}
+
+
+@pytest.mark.parametrize("z", [-0.5, -2.0, math.nan, np.array([0.5, -3.0])], ids=repr)
+@pytest.mark.parametrize("entry", LEVEL_ENTRIES)
+def test_negative_or_nan_level_raises_value_error(entry, z):
+    with pytest.raises(ValueError, match=r"^interference level z must be nonnegative, not "):
+        LEVEL_ENTRIES[entry](z)
+
+
+@pytest.mark.parametrize("entry", LEVEL_ENTRIES)
+def test_infinite_level_gives_zero(entry):
+    assert LEVEL_ENTRIES[entry](math.inf) == 0.0
+    assert np.array_equal(LEVEL_ENTRIES[entry](np.array([math.inf, math.inf])), [0.0, 0.0])
 
 
 EXPORTS = [

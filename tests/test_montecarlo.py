@@ -8,10 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
+from macfade import montecarlo
 from macfade.boundary import rate_point
 from macfade.fading import ExponentialGain, PiecewiseLinearEmpirical, UniformGain
 from macfade.kernel import ChannelConfig, LambdaVector, RateAwardVector, UserSpec, win_probability
-from macfade.montecarlo import _allocate_chunk, estimate, state_chunk
+from macfade.montecarlo import _allocate_chunk, _run_stream, estimate, state_chunk
 from macfade.solver import solve_lambda
 from oracles import (
     FadingState,
@@ -418,6 +419,21 @@ class TestEstimate:
             tracemalloc.stop()
         assert peak < 1000 * 1024
 
+    def test_one_state_chunk_call_per_chunk(self, monkeypatch):
+        # the module global is the per-chunk hook that the benchmark's tracer wraps
+        mu = RateAwardVector((0.7, 0.3))
+        lam = LambdaVector((0.126, 0.0454))
+        expected = estimate(CH2, mu, lam, 10**6, 1)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return state_chunk(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "state_chunk", counting)
+        assert estimate(CH2, mu, lam, 10**6, 1) == expected
+        assert calls == list(range(245))
+
     def test_partial_final_chunk(self):
         mu = RateAwardVector((0.7, 0.3))
         lam = LambdaVector((0.126, 0.0454))
@@ -543,6 +559,30 @@ class TestStateChunk:
             assert np.shares_memory(result, out) and np.array_equal(result, out.T)
         block[2, :, 1] = np.nan
         assert np.all(np.isnan(block))  # nothing outside out was written
+
+    @pytest.mark.parametrize("channel,seed", [(CH3, 123), (CH_ZERO, 5)], ids=["ch3", "redraw"])
+    def test_one_seeked_stream_equals_a_fresh_generator_per_chunk(self, channel, seed):
+        # one run's generator and uniform scratch, as estimate passes them, moved from
+        # chunk to chunk across both 64-bit words of the counter's top half
+        m = channel.n_users
+        block = np.empty((4, m, 2, 4096))
+        run = _run_stream(seed), block[1].reshape(2, 4096, m)[0]
+        for c, index in enumerate([0, 1, 2**64 - 1, 2**64, 2**64 + 3, 2**128 - 1]):
+            result = state_chunk(channel, seed, index, out=block[2, :, c % 2], _run=run)
+            assert np.array_equal(result, reference_state_chunk(channel, seed, index)), index
+
+    def test_numpy_integer_index_is_the_same_chunk(self):
+        assert np.array_equal(state_chunk(CH2, np.int64(9), np.int64(3)), state_chunk(CH2, 9, 3))
+        assert not np.array_equal(state_chunk(CH2, 9, 3), state_chunk(CH2, 9, 0))
+
+    @pytest.mark.parametrize("name,seed,index", [
+        ("seed", 1.9, 0), ("seed", True, 0), ("seed", -1, 0), ("seed", 1 << 128, 0),
+        ("chunk_index", 1, 2.0), ("chunk_index", 1, True), ("chunk_index", 1, -1),
+        ("chunk_index", 1, 1 << 128),
+    ], ids=repr)
+    def test_bad_seed_or_index_raises(self, name, seed, index):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            state_chunk(CH2, seed, index)
 
     def test_fading_state_validation(self):
         with pytest.raises(ValueError):

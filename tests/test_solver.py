@@ -305,6 +305,11 @@ class TestSolveLambda:
                                                  rf"not {re.escape(repr(cap))}$"):
                 SolverSettings(max_outer_iters=cap)
         assert SolverSettings(max_outer_iters=np.int64(50)).max_outer_iters == 50
+        for name in ("power_rel_tol", "quad_abs_tol", "tail_epsilon"):
+            for value in (math.inf, math.nan, True, "1", None):
+                with pytest.raises(ValueError, match=rf"^{name} must be a finite number, "
+                                                     rf"not {re.escape(repr(value))}$"):
+                    SolverSettings(**{name: value})
         with pytest.raises(ValueError):
             SolverSettings(quad_abs_tol=0.0)
         with pytest.raises(ValueError):

@@ -10,7 +10,9 @@ tracemalloc peak of each user count is taken from one more call outside
 the timed ones, since tracing slows allocation.  ``allocate_us_per_pass``
 is the median time of ``_allocate_chunk`` alone over one two-chunk block
 (the stream's first two chunks), restored before each of ALLOCATE_CALLS
-timed calls.
+timed calls.  ``draw_us_per_chunk`` is the median time of one
+``state_chunk`` call inside one more estimate, timed by wrapping the
+module global that ``estimate`` calls, outside the timed runs.
 The program is imported from ``src/`` beside this directory.
 """
 
@@ -32,6 +34,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import macfade  # noqa: E402
+from macfade import montecarlo  # noqa: E402
 from macfade.fading import ExponentialGain  # noqa: E402
 from macfade.kernel import ChannelConfig, UserSpec  # noqa: E402
 from macfade.montecarlo import CHUNK_SIZE, _allocate_chunk, estimate, state_chunk  # noqa: E402
@@ -61,6 +64,23 @@ def peak_kb(channel, mu, lam, states) -> float:
         tracemalloc.stop()
 
 
+def draw_us_per_chunk(channel, mu, lam, states) -> float:
+    walls = []
+
+    def timed_chunk(*args, **kwargs):
+        start = time.perf_counter()
+        gains = state_chunk(*args, **kwargs)
+        walls.append(time.perf_counter() - start)
+        return gains
+
+    montecarlo.state_chunk = timed_chunk
+    try:
+        estimate(channel, mu, lam, states, SEED)
+    finally:
+        montecarlo.state_chunk = state_chunk
+    return statistics.median(walls) * 1e6
+
+
 def allocate_us_per_pass(channel, mu, lam) -> float:
     m = channel.n_users
     block = np.empty((4, m, 2, CHUNK_SIZE))
@@ -87,6 +107,7 @@ def bench(states: int, runs: int) -> list:
         rows.append({"users": m, "states_per_s": round(states / wall),
                      "median_wall_s": round(wall, 5),
                      "tracemalloc_peak_kb": round(peak_kb(channel, mu, lam, states), 1),
+                     "draw_us_per_chunk": round(draw_us_per_chunk(channel, mu, lam, states), 1),
                      "allocate_us_per_pass": round(allocate_us_per_pass(channel, mu, lam), 1)})
     return rows
 
