@@ -136,9 +136,9 @@ class TestConfigParsing:
         ({"solver": {"max_outer_iters": 0}}, "^solver.max_outer_iters: must be at least 1$"),
         ({"quadrature": {"outer_abs_tol": 0.0}}, "^quadrature.outer_abs_tol: must be positive$"),
         ({"quadrature": {"tail_epsilon": 1.0}}, "^quadrature.tail_epsilon: must be in "),
+        ({"mu": ["0.7", 0.3]}, "^mu: mu entries must be numbers, not '0.7'$"),
         ({"solver": {"power_rel_tol": math.inf}},
          "^solver.power_rel_tol: must be a finite number, not inf$"),
-        ({"mu": ["0.7", 0.3]}, "^mu: mu entries must be numbers, not '0.7'$"),
     ])
     def test_malformed_configs_name_the_field(self, tmp_path, overrides, needle):
         with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
