@@ -66,23 +66,13 @@ class BoundaryPoint:
         return self.status == "ok"
 
 
-def _rate_point_detailed(mu, lam, channel, mode, tol, tail_eps):
-    rates, errors = [0.0] * channel.n_users, [0.0] * channel.n_users
-    for i in range(channel.n_users):
-        req = outer_request(rate_integrand, i, mu, lam, channel, mode, tol, tail_eps)
-        if req is not None:
-            result = integrate_or_raise(req)
-            rates[i], errors[i] = float(result.values[0]), float(result.error_estimates[0])
-    return tuple(rates), tuple(errors)
-
-
 def rate_point(mu, lam, channel: ChannelConfig,
                mode: CdfMode = CdfMode.CORRECTED,
                tol: float = DEFAULT_OUTER_TOL,
                tail_eps: float = DEFAULT_TAIL_EPS) -> tuple:
     """Per-user boundary rates (nats) at the given weights and prices."""
-    rates, _ = _rate_point_detailed(mu, lam, channel, mode, tol, tail_eps)
-    return rates
+    return tuple(integrate_or_raise(outer_request(rate_integrand, range(channel.n_users), mu, lam,
+                                                  channel, mode, tol, tail_eps)).values.tolist())
 
 
 def check_grid(n_users: int, resolution: int, mu_min: float) -> None:
@@ -141,21 +131,22 @@ def sweep(channel: ChannelConfig, mu_grid, settings: SolverSettings | None = Non
         try:
             solution = solve_lambda(mu, channel, settings, initial_lambda=warm,
                                     initial_jacobian=jac)
-            rates, errors = _rate_point_detailed(mu, solution.lam, channel,
-                                                 settings.mode, rate_tol, tail_eps)
+            rates = integrate_or_raise(outer_request(rate_integrand, range(channel.n_users), mu,
+                                                     solution.lam, channel, settings.mode,
+                                                     rate_tol, tail_eps))
         except (SolverError, QuadratureError) as exc:
             points.append(BoundaryPoint(mu, None, None, None, settings.mode,
                                         None, status=f"error: {exc}"))
             continue
         solved.append((target, solution))
         diag = PointDiagnostics(
-            rate_quad_errors=errors,
+            rate_quad_errors=tuple(rates.error_estimates.tolist()),
             solver_sweeps=solution.sweeps,
             solver_power_evals=solution.power_evals,
             certified_residuals=solution.certified_residuals,
         )
-        points.append(BoundaryPoint(mu, solution.lam, rates, solution.achieved,
-                                    settings.mode, diag))
+        points.append(BoundaryPoint(mu, solution.lam, tuple(rates.values.tolist()),
+                                    solution.achieved, settings.mode, diag))
     return points
 
 

@@ -25,6 +25,8 @@ __all__ = [
     "PiecewiseLinearEmpirical",
 ]
 
+_TINY = float(np.finfo(float).tiny)  # least normal float: gain scales below it lose precision
+
 
 def _nonnegative(h):
     arr = np.asarray(h, dtype=float)
@@ -99,8 +101,8 @@ class ExponentialGain(FadingDistribution):
     mean_gain: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean_gain) and self.mean_gain > 0.0):
-            raise ValueError("mean_gain must be positive and finite")
+        if not (np.isfinite(self.mean_gain) and self.mean_gain >= _TINY):
+            raise ValueError(f"mean_gain must be finite and at least {_TINY!r}")
 
     def _pdf_raw(self, arr):
         return np.exp(-arr / self.mean_gain) / self.mean_gain
@@ -139,6 +141,8 @@ class PiecewiseLinearEmpirical(FadingDistribution):
             raise ValueError("knots must be finite")
         if h[0] < 0.0 or np.any(np.diff(h) <= 0.0):
             raise ValueError("knot gains must be nonnegative and strictly increasing")
+        if np.any((0.0 < h) & (h < _TINY)):
+            raise ValueError(f"positive knot gains must be at least {_TINY!r}")
         if F[0] != 0.0 or F[-1] != 1.0 or np.any(np.diff(F) < 0.0):
             raise ValueError("knot cdf values must run nondecreasing from 0 to 1")
         object.__setattr__(self, "h_knots", tuple(float(x) for x in h))

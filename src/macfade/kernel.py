@@ -22,10 +22,10 @@ array is integrated in one batched pass, a row per level with its own
 window, panel edges (the dyadic seeding edges plus every case boundary,
 own kink and rival-kink preimage that falls inside the window) and
 adaptive refinement, so each entry equals the one-level call bit for bit.
-``outer_request`` sets up the outer integrals: each rule batch of levels
-goes to one such call, and the z-range splits, by the same edge rule, at
-the levels where a user's positivity threshold or a case boundary
-reaches a kink.
+``outer_request`` sets up the outer integrals, one request with a row per
+user: each rule batch of a row's levels goes to one such call, and the
+z-range splits, by the same edge rule, at the levels where a user's
+positivity threshold or a case boundary reaches a kink.
 
 All functions here are pure; everything is safe to call from several threads at once.
 """
@@ -33,6 +33,7 @@ All functions here are pure; everything is safe to call from several threads at 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -225,9 +226,9 @@ def _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps, quantity):
 
     ``z`` is one interference level or an array of them; all levels share
     one batched integral with a row per level whose window is not empty,
-    each refined on its own.  ``quantity`` names the rows in error messages,
-    and ``"power"`` adds the transmit-power weight 1/h.  Returns a float for
-    a scalar ``z``, else an array shaped like ``z``.
+    each refined on its own.  ``quantity`` names the rows in error messages;
+    ``"power"`` weights by 1/h and ``"rate"`` divides by 2(sigma2 + z).
+    Returns a float for a scalar ``z``, else an array shaped like ``z``.
     """
     i, mode = channel.user_index(i), CdfMode(mode)
     mu_arr, lam_arr = channel.weights(mu).as_array(), channel.prices(lam).as_array()
@@ -274,6 +275,8 @@ def _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps, quantity):
         )
         result = integrate_or_raise(req)
         out[live] = result.values
+    if quantity == "rate":
+        out /= 2.0 * (sigma2 + zs)
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
@@ -300,8 +303,7 @@ def rate_integrand(i: int, z, mu, lam, channel: ChannelConfig,
                    tol: float = DEFAULT_INNER_TOL,
                    tail_eps: float = DEFAULT_TAIL_EPS):
     """Win probability weighted by the rate-per-received-power factor 1/(2(sigma2+z))."""
-    p = _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps, "rate")
-    return p / (2.0 * (channel.sigma2 + z))
+    return _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps, "rate")
 
 
 def power_integrand(i: int, z, mu, lam, channel: ChannelConfig,
@@ -312,32 +314,34 @@ def power_integrand(i: int, z, mu, lam, channel: ChannelConfig,
     return _inner_integral(i, z, mu, lam, channel, mode, tol, tail_eps, "power")
 
 
-def outer_request(inner, i: int, mu, lam, channel: ChannelConfig, mode: CdfMode,
-                  tol: float, tail_eps: float) -> BatchRequest | None:
-    """User i's outer integral of the inner kernel ``inner`` over the interference level.
+def outer_request(inner, users, mu, lam, channel: ChannelConfig, mode: CdfMode,
+                  tol, tail_eps: float) -> BatchRequest:
+    """The outer integrals over the interference level of the inner kernel ``inner``.
 
-    A one-row request whose integrand hands each rule batch of levels to
-    ``inner``, ``rate_integrand`` or ``power_integrand``, which runs at
-    tol/10 so the composition error stays within the outer budget ``tol``.
-    The window ends where user i's positivity threshold passes the
+    A request with a row per user in ``users``, at the outer budget ``tol``
+    (one per request or one per row).  Each rule batch hands a row's levels
+    to one call of ``inner``, ``rate_integrand`` or ``power_integrand``, at
+    the row's tol/10 so the composition error stays within its budget.  A
+    row's window ends where its user's positivity threshold passes the
     1 - tail_eps quantile of its gain: the win probability at level z is
     bounded by the chance that the own gain clears the threshold, so the
-    rest of the outer integrand is negligible.  Returns None when that
-    window is empty.
+    rest of the outer integrand is negligible.  An empty window becomes the
+    row [0, 1], with integrand 0.0.  An inner failure is raised from the
+    first rule batch that meets one.
     """
-    i, mode = channel.user_index(i), CdfMode(mode)
+    users, mode = [channel.user_index(i) for i in users], CdfMode(mode)
     mu, lam = channel.weights(mu), channel.prices(lam)
-    tail_gain = channel.users[i].fading.tail_point(tail_eps)
-    z_top = mu[i] * tail_gain / (2.0 * lam[i]) - channel.sigma2
-    if z_top <= 0.0:
-        return None
-    if math.isinf(z_top):
-        raise ValueError(f"integration window must be finite; user {i}'s price "
-                         f"{lam[i]!r} puts its end at inf")
-    inner_tol = tol / 10.0
+    z_top = [mu[i] * channel.users[i].fading.tail_point(tail_eps) / (2.0 * lam[i])
+             - channel.sigma2 for i in users]
+    for i, top in zip(users, z_top):
+        if math.isinf(top):
+            raise ValueError(f"integration window must be finite; user {i}'s price "
+                             f"{lam[i]!r} puts its end at inf")
+    inner_tol = (np.broadcast_to(tol, len(users)) / 10.0).tolist()
 
     def integrand(z, rows):
-        return inner(i, z, mu, lam, channel, mode, inner_tol, tail_eps)
+        return np.stack([inner(users[r], zr, mu, lam, channel, mode, inner_tol[r], tail_eps)
+                         if z_top[r] > 0.0 else np.zeros(len(zr)) for r, zr in zip(rows, z)])
 
     # Besides the dyadic seeding edges, split at the levels where a kink of
     # the gain integrand meets a moving cut of the inner integral, so that
@@ -352,12 +356,13 @@ def outer_request(inner, i: int, mu, lam, channel: ChannelConfig, mode: CdfMode,
     # preimages with own kinks (own kinks times rival kinks of them) are left
     # to adaptive refinement: with empirical laws of a hundred knots each
     # they cost more panels than the bisections they save.
-    levels = [mu[j] * c / (2.0 * lam[j])
+    levels = [mu[j] * c / (2.0 * lam[j]) - channel.sigma2
               for j in range(channel.n_users) for c in channel.users[j].fading.kinks()]
-    levels += [c * (mu[i] - mu[k]) / (2.0 * lam[i])
-               for k in range(channel.n_users) if mu[k] < mu[i]
-               for c in channel.users[i].fading.kinks()]
-    edges = panel_edges(np.zeros(1), z_top, np.reshape(levels, (-1, 1)) - channel.sigma2)
+    by_row = [levels + [c * (mu[i] - mu[k]) / (2.0 * lam[i]) - channel.sigma2
+                        for k in range(channel.n_users) if mu[k] < mu[i]
+                        for c in channel.users[i].fading.kinks()] for i in users]
+    cuts = [np.array(c) for c in itertools.zip_longest(*by_row, fillvalue=math.inf)]
+    edges = panel_edges(np.zeros(len(users)), [t if t > 0.0 else 1.0 for t in z_top], cuts)
     quantity = inner.__name__.removesuffix("_integrand")
     return BatchRequest(integrand, edges, abs_tol=tol, row_name=lambda r: (
-        f"outer {quantity} integral of user {i} over z at lam={lam.lam!r}"))
+        f"outer {quantity} integral of user {users[r]} over z at lam={lam.lam!r}"))

@@ -142,7 +142,8 @@ def _allocate_chunk(gains: np.ndarray, mu_arr: np.ndarray, lam_arr: np.ndarray,
     exit_ /= 2.0 * lam_arr[:, None]
     exit_ -= sigma2
     enter.fill(0.0)
-    z, pen = np.empty((2, n))  # one pair's levels, reused by the next
+    # two arrays: a (2, n) block at n = 8,192 sits on glibc's 128 KiB mmap threshold
+    z, pen = np.empty(n), np.empty(n)  # one pair's levels, reused by the next
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # lam/h may overflow
         np.divide(lam_arr[:, None], g, out=cost)
         for i in range(m):

@@ -4,13 +4,13 @@ A request holds one or more rows, each an integral of its own over a finite
 window [lower, truncation_point] split at its own breakpoints.  Every row is
 refined exactly as a lone integral would be: the panel with the largest
 error estimate (the leftmost one on ties) is bisected with a nested
-Gauss-Kronrod (7, 15) rule pair until the row's summed error drops below the
-absolute tolerance or the row has spent the evaluation budget.  Rows advance
-in lockstep, so one integrand call evaluates the rule batch of every row
-that still needs work, yet a row's result never depends on the other rows.
-Chopping the infinite tail is the caller's job: pick the truncation point so the
-discarded mass is provably below tolerance (distribution tail quantiles make
-this cheap and rigorous).
+Gauss-Kronrod (7, 15) rule pair until the row's summed error drops below its
+absolute tolerance (one per request or one per row) or the row has spent the
+evaluation budget.  Rows advance in lockstep, so one integrand call evaluates
+the rule batch of every row that still needs work, yet a row's result never
+depends on the other rows.  Chopping the infinite tail is the caller's job:
+pick the truncation point so the discarded mass is provably below tolerance
+(distribution tail quantiles make this cheap and rigorous).
 
 Panels are summed in ascending position order, so a given row always
 produces bit-identical output no matter how the refinement work is scheduled.
@@ -95,7 +95,7 @@ class BatchRequest:
     edges      (rows, n) array holding each row's lower limit, interior
                breakpoints and truncation point, strictly increasing, padded
                on the right with NaN where a row has fewer edges than n
-    abs_tol    absolute error target of each row
+    abs_tol    absolute error target of every row, or one per row (kept per row)
     max_evals  integrand-evaluation budget of each row
     row_name   maps a row index to the text naming that row in error messages
     """
@@ -117,12 +117,13 @@ class BatchRequest:
             raise ValueError("integration window must be finite; truncate the tail first")
         if (np.diff(edges, axis=1) <= 0.0).any():  # NaN padding compares False
             raise ValueError("edges must be strictly increasing")
-        if not self.abs_tol > 0.0:
+        abs_tol = np.array(self.abs_tol, dtype=float)
+        if not (abs_tol > 0.0).all():
             raise ValueError("abs_tol must be positive")
         if self.max_evals < _EVALS_PER_RULE:
             raise ValueError("max_evals must allow at least one rule application")
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "abs_tol", float(self.abs_tol))
+        object.__setattr__(self, "abs_tol", np.broadcast_to(abs_tol, len(edges)))  # or ValueError
         object.__setattr__(self, "max_evals", int(self.max_evals))
 
     def prefix(self, row: int) -> str:
@@ -226,7 +227,7 @@ def integrate_or_raise(req: BatchRequest) -> BatchResult:
     """
     f = req.integrand
     edges = req.edges
-    tol = req.abs_tol
+    tols = req.abs_tol.tolist()
     budget = req.max_evals
     n_panels = np.count_nonzero(~np.isnan(edges), axis=1) - 1
     values = np.empty(len(edges))
@@ -241,7 +242,7 @@ def integrate_or_raise(req: BatchRequest) -> BatchResult:
     def fail_unconverged(r):
         row = IntegrationResult(float(values[r]), float(errors[r]), int(evals[r]), False)
         fail(r, f"quadrature did not converge: error estimate {row.error_estimate:.3e} "
-                f"exceeds tolerance {tol:.3e} after {row.evals} evaluations", row)
+                f"exceeds tolerance {tols[r]:.3e} after {row.evals} evaluations", row)
 
     def summed(r, heap, done):
         """Store row r's value and error, its panels added left to right; return the error."""
@@ -277,7 +278,7 @@ def integrate_or_raise(req: BatchRequest) -> BatchResult:
             error = error + errs[:, j]
         values[group] = value
         errors[group] = error
-        rest = (error > tol) & (evals[group] + 2 * _EVALS_PER_RULE <= budget)
+        rest = (error > req.abs_tol[group]) & (evals[group] + 2 * _EVALS_PER_RULE <= budget)
         rest[list(bad)] = False
         for g in np.flatnonzero(rest).tolist():
             a_b = window[g].tolist()
@@ -285,7 +286,7 @@ def integrate_or_raise(req: BatchRequest) -> BatchResult:
             for a, b, v, e in zip(a_b, a_b[1:], vals[g].tolist(), errs[g].tolist()):
                 heapq.heappush(heap, (-e, a, b, v))
             refining[int(group[g])] = [heap, [], float(error[g])]
-        ended = ~rest & ~(error <= tol)
+        ended = ~rest & ~(error <= req.abs_tol[group])
         ended[list(bad)] = False
         for g in np.flatnonzero(ended).tolist():
             fail_unconverged(int(group[g]))
@@ -297,11 +298,11 @@ def integrate_or_raise(req: BatchRequest) -> BatchResult:
         for r, state in list(refining.items()):
             heap, done, total_err = state
             while heap and evals[r] + 2 * _EVALS_PER_RULE <= budget:
-                if not total_err > tol:
+                if not total_err > tols[r]:
                     # The running total drifts from the panel sum by rounding,
                     # and can even cancel to 0.0: only the sum may stop a row.
                     total_err = state[2] = summed(r, heap, done)
-                    if total_err <= tol:
+                    if total_err <= tols[r]:
                         break
                 neg_err, a, b, value = heapq.heappop(heap)
                 mid = 0.5 * (a + b)
@@ -313,7 +314,7 @@ def integrate_or_raise(req: BatchRequest) -> BatchResult:
                 summed(r, heap, done)
             if not (batch and batch[-1][0] == r):  # the row is done refining
                 del refining[r]
-                if not errors[r] <= tol:
+                if not errors[r] <= tols[r]:
                     fail_unconverged(r)
         if failures:
             prune()
@@ -353,23 +354,24 @@ def dyadic_panel_edges(lower, upper) -> list:
     return [lower + scale * (2.0 ** k - 1.0) for k in range(1, 6)]
 
 
-def panel_edges(lower: np.ndarray, upper: float, cuts) -> np.ndarray:
+def panel_edges(lower: np.ndarray, upper, cuts) -> np.ndarray:
     """Per-row edges for a :class:`BatchRequest`: dyadic seeding plus cut points.
 
-    Row r runs from ``lower[r]`` to ``upper`` with the dyadic seeding edges
-    and the r-th entry of every array in ``cuts``.  Candidates are taken in
-    ascending order; one is dropped when it lies outside the open window,
-    within 1e-12 of the window width of ``upper``, or within that gap above
-    the in-window candidate before it, kept or not.  Dropped slots become
-    right-hand NaN padding.
+    Row r runs from ``lower[r]`` to ``upper`` (one end for every row, or one
+    per row) with the dyadic seeding edges and the r-th entry of every array
+    in ``cuts``.  Candidates are taken in ascending order; one is dropped when
+    it lies outside the open window, within 1e-12 of the window width of the
+    row's upper end, or within that gap above the in-window candidate before
+    it, kept or not.  Dropped slots become right-hand NaN padding.
     """
     lower = np.asarray(lower, dtype=float)
+    upper = np.broadcast_to(np.asarray(upper, dtype=float), lower.shape)
     cand = np.sort(np.stack([*dyadic_panel_edges(lower, upper), *cuts], axis=1), axis=1)
-    gap = 1e-12 * (upper - lower)
-    keep = (lower[:, None] < cand) & (cand < upper) & ~(upper - cand <= gap[:, None])
+    gap = 1e-12 * (upper - lower)[:, None]
+    keep = (lower[:, None] < cand) & (cand < upper[:, None]) & ~(upper[:, None] - cand <= gap)
     # Out-of-window candidates (infinite cuts among them) enter the
     # differences as NaN, which compares False: no inf - inf is formed.
     inside = np.where(keep, cand, np.nan)
-    keep[:, 1:] &= ~(inside[:, 1:] - inside[:, :-1] <= gap[:, None])
+    keep[:, 1:] &= ~(inside[:, 1:] - inside[:, :-1] <= gap)
     inner = np.where(keep, cand, np.nan)
-    return np.sort(np.column_stack([lower, inner, np.full(lower.shape, upper)]), axis=1)
+    return np.sort(np.column_stack([lower, inner, upper]), axis=1)

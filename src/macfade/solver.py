@@ -20,11 +20,12 @@ both CDF modes:
   Jacobian, is retried once on the one-user slopes at the current prices,
   which cost no integral.
 
-Convergence is declared only when every residual, evaluated at the full
-quadrature tolerance, is inside 0.95 ``power_rel_tol``; the returned
-solution is then re-verified at a tenfold tighter tolerance.  Quadrature
-tolerances scale with each user's power budget so tiny budgets stay
-resolvable.
+Every residual vector, the certificate's too, is one outer request with a
+row per user (``kernel.outer_request``).  Convergence is declared only when
+every residual, evaluated at the full quadrature tolerance, is inside 0.95
+``power_rel_tol``; the returned solution is then re-verified at a tenfold
+tighter tolerance.  Quadrature tolerances scale with each user's power
+budget, floored at 1e-320, so tiny budgets stay resolvable.
 
 Scaling every weight and price by one factor changes no achieved power
 (Tse & Hanly, IEEE Trans. IT 44(7), 1998): the prices are homogeneous of
@@ -57,6 +58,7 @@ __all__ = ["SolverSettings", "SolverResult", "SolverError", "achieved_power", "s
 _MAX_LOG_STEP = float(np.log(4.0))  # largest move of one log price in one step
 _MAX_HALVINGS = 10   # line-search halvings before the Jacobian is blamed
 _START_TOL = 1e-2    # relative power residual after which the one-user start stops
+_TOL_FLOOR = 1e-320  # least tolerance whose hundredth, a certificate's inner one, is positive
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,8 @@ class SolverSettings:
             raise ValueError("max_outer_iters must be at least 1")
         if not self.quad_abs_tol > 0.0:
             raise ValueError("quad_abs_tol must be positive")
+        if self.quad_abs_tol < _TOL_FLOOR:
+            raise ValueError(f"quad_abs_tol must be at least {_TOL_FLOOR!r}")
         if not 0.0 < self.tail_epsilon < 1.0:
             raise ValueError("tail_epsilon must be in (0, 1)")
 
@@ -104,12 +108,13 @@ def achieved_power(i: int, mu, lam, channel: ChannelConfig,
                    tail_eps: float = DEFAULT_TAIL_EPS) -> float:
     """Average transmit power user i spends under prices ``lam``.
 
-    Outer adaptive integral over the interference level of the inner
-    1/h-weighted kernel (see ``kernel.outer_request``).  Each outer rule
-    batch hands all its levels to one batched inner integral.
+    The one-row outer request of ``kernel.outer_request``: an adaptive
+    integral over the interference level of the inner 1/h-weighted kernel,
+    each outer rule batch handing all its levels to one batched inner
+    integral.
     """
-    req = outer_request(power_integrand, i, mu, lam, channel, mode, tol, tail_eps)
-    return 0.0 if req is None else float(integrate_or_raise(req).values[0])
+    req = outer_request(power_integrand, [i], mu, lam, channel, mode, tol, tail_eps)
+    return float(integrate_or_raise(req).values[0])
 
 
 def _own_slopes(mu, channel, x):
@@ -140,7 +145,7 @@ def _one_user_start(mu, channel, settings):
                             [np.array(c) / top for c in kinks]) * top[:, None]
         power = integrate_or_raise(BatchRequest(lambda h, g: np.stack(
             [np.maximum(level[r] - sigma2 / hr, 0.0) * dists[busy[r]]._pdf_raw(hr)
-             for r, hr in zip(g, h)]), edges, abs_tol=1e-3 * min(pbar),
+             for r, hr in zip(g, h)]), edges, abs_tol=max(1e-3 * min(pbar), _TOL_FLOOR),
             row_name=lambda r: f"one-user start of user {busy[r]}")).values
         r = power / pbar[busy] - 1.0
         x[busy] += np.clip(r / -_own_slopes(mu, channel, x)[busy], -_MAX_LOG_STEP, _MAX_LOG_STEP)
@@ -176,13 +181,16 @@ def solve_lambda(mu, channel: ChannelConfig,
          else np.log(channel.prices(initial_lambda).lam))
     # fresh: jac is the one-user slopes at x, so retrying on them is no use
     jac, fresh = (np.diag(_own_slopes(mu, channel, x)), True) if jac is None else (jac, False)
-    pbar, evals = channel.pbars, 0
-    tols = [settings.quad_abs_tol * min(1.0, p) for p in pbar]  # scaled to each budget
+    pbar, evals = np.array(channel.pbars), 0
+    # scaled to each budget, and floored so that a tiny budget's stays positive
+    tols = np.maximum(settings.quad_abs_tol * np.minimum(1.0, pbar), _TOL_FLOOR)
 
-    def power(i, lam, tol):
-        # A quadrature failure is raised again with where the solve was.
+    def powers(trial, tols):
+        # Every user's power at exp(trial), a failure raised again with where the solve was.
         try:
-            return achieved_power(i, mu, lam, channel, settings.mode, tol, settings.tail_epsilon)
+            return integrate_or_raise(outer_request(power_integrand, range(m), mu, np.exp(trial),
+                                                    channel, settings.mode, tols,
+                                                    settings.tail_epsilon)).values
         except QuadratureError as exc:
             stage = (f"certificate pass after {steps} Newton steps" if certifying
                      else f"Newton step {steps + 1}")
@@ -194,14 +202,13 @@ def solve_lambda(mu, channel: ChannelConfig,
     def residuals(x):
         # Relative power residuals at prices exp(x).
         nonlocal evals
-        lam = LambdaVector(tuple(np.exp(x)))
         evals += m
-        return np.array([(power(i, lam, tols[i]) - pbar[i]) / pbar[i] for i in range(m)])
+        return (powers(x, tols) - pbar) / pbar
 
     # accept 5% inside the contract tolerance so the post-hoc certificate at
     # tighter quadrature cannot be pushed past it by integration noise
     rtol = 0.95 * settings.power_rel_tol
-    # read by ``power`` to place a quadrature failure; r is None until the start is evaluated
+    # read by ``powers`` to place a quadrature failure; r is None until the start is evaluated
     r, steps, certifying = None, 0, False
     r = residuals(x)
     while np.max(np.abs(r)) > rtol:
@@ -221,12 +228,11 @@ def solve_lambda(mu, channel: ChannelConfig,
         steps += 1
 
     certifying = True
-    lam = LambdaVector(tuple(np.exp(x)))
-    achieved = [power(i, lam, tols[i] / 10.0) for i in range(m)]
+    achieved = powers(x, tols / 10.0)
     return SolverResult(
-        lam=lam,
-        achieved=tuple(achieved),
-        certified_residuals=tuple((a - p) / p for a, p in zip(achieved, pbar)),
+        lam=LambdaVector(tuple(np.exp(x))),
+        achieved=tuple(achieved.tolist()),
+        certified_residuals=tuple(((achieved - pbar) / pbar).tolist()),
         sweeps=steps,
         power_evals=evals,
         jacobian=(None if steps == 0 and initial_jacobian is None and m > 1

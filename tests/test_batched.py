@@ -2,7 +2,8 @@
 
 An array-of-levels call to the inner kernels must give, row by row and bit
 for bit, what one call per level gives and what the per-level reference in
-``oracles.per_z_inner_integral`` gives.  Failures name the offending row.
+``oracles.per_z_inner_integral`` gives, and an outer request with a row per
+user what one request per user gives.  Failures name the offending row.
 """
 
 import functools
@@ -20,6 +21,7 @@ from macfade.kernel import (
     LambdaVector,
     RateAwardVector,
     UserSpec,
+    outer_request,
     power_integrand,
     rate_integrand,
     win_probability,
@@ -146,6 +148,37 @@ def test_array_shape_is_kept():
     assert out[1, 1] == 0.0
 
 
+# (channel, mu, lam) of multi-row outer requests; in "empty-window" user 0's
+# threshold 2*lam*sigma2/mu = 40 lies past its tail point
+OUTER_CASES = {
+    "exp3": CASES["exp3"],
+    "exp+uniform": CASES["exp+uniform"],
+    "empty-window": (_channel(ExponentialGain(1.0), ExponentialGain(1.0)), (0.5, 0.5),
+                     (10.0, 0.1)),
+}
+
+
+@pytest.mark.parametrize("inner", [power_integrand, rate_integrand])
+@pytest.mark.parametrize("case", OUTER_CASES)
+def test_outer_rows_equal_one_row_requests(case, inner):
+    channel, mu, lam = OUTER_CASES[case]
+    m = channel.n_users
+    tols = [1e-8 * 10.0 ** -r for r in range(m)]
+    batch = integrate_or_raise(outer_request(inner, range(m), mu, lam, channel,
+                                             CdfMode.CORRECTED, tols, TAIL_EPS))
+    for i in range(m):
+        alone = integrate_or_raise(outer_request(inner, [i], mu, lam, channel,
+                                                 CdfMode.CORRECTED, tols[i], TAIL_EPS))
+        assert batch.values[i] == alone.values[0]
+        assert batch.error_estimates[i] == alone.error_estimates[0]
+        assert batch.row_evals[i] == alone.row_evals[0]
+    if case == "empty-window":
+        assert (batch.values[0], batch.error_estimates[0]) == (0.0, 0.0)
+        assert batch.values[1] > 0.0
+    else:
+        assert (batch.values > 0.0).all()
+
+
 class TestFailureAttribution:
     MU = RateAwardVector((0.7, 0.3))
     LAM = LambdaVector((0.126, 0.0454))
@@ -204,18 +237,20 @@ class TestBatchRequest:
                (-1.0, (0.0,), 30.0),
                (2.0, (2.1, 2.2, 3.0), 12.0)]
 
+    # the last case gives each row its own tolerance
     @pytest.mark.parametrize("tol, budget", [(1e-10, 100_000), (1e-6, 100_000),
-                                             (1e-13, 135)])
+                                             (1e-13, 135), ([1e-6, 1e-13, 1e-10, 1e-8], 100_000)])
     def test_rows_equal_lone_requests_and_reference(self, tol, budget):
         f = lambda x: np.exp(-x) * np.sin(3.0 * x) ** 2
         width = max(len(bps) for _, bps, _ in self.WINDOWS) + 2
         edges = [[lo, *bps, hi] + [math.nan] * (width - len(bps) - 2)
                  for lo, bps, hi in self.WINDOWS]
         req = BatchRequest(lambda x, r: f(x), edges, tol, budget)
-        alone = [lone(lambda x, r: f(x), lo, hi, bps, tol, budget)
-                 for lo, bps, hi in self.WINDOWS]
-        reference = [reference_integrate(f, lo, hi, bps, tol, budget)
-                     for lo, bps, hi in self.WINDOWS]
+        tols = np.broadcast_to(tol, len(self.WINDOWS)).tolist()
+        alone = [lone(lambda x, r: f(x), lo, hi, bps, t, budget)
+                 for (lo, bps, hi), t in zip(self.WINDOWS, tols)]
+        reference = [reference_integrate(f, lo, hi, bps, t, budget)
+                     for (lo, bps, hi), t in zip(self.WINDOWS, tols)]
         assert alone == reference
         assert all(res.converged for res in alone) == (budget > 135)
         if budget > 135:
@@ -346,6 +381,22 @@ class TestBatchRequest:
                 assert got == expected
             if cuts is chain:
                 assert (np.count_nonzero(~np.isnan(rows), axis=1) == 2 + 5 + 1).all()
+
+    def test_panel_edges_per_row_upper_match_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        n = 200
+        lower = rng.uniform(0.0, 5.0, size=n)
+        upper = lower + rng.uniform(1e-3, 20.0, size=n)
+        span = upper - lower
+        cuts = [rng.uniform(-2.0, 26.0, size=n), upper - 1e-13 * span,
+                lower + rng.choice([0.3, 0.5], size=n) * span + 6e-13 * span,
+                np.where(rng.random(n) < 0.3, np.inf, lower + 0.5 * span)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = panel_edges(lower, upper, cuts)
+        for r in range(n):
+            alone = panel_edges(lower[r:r + 1], float(upper[r]), [c[r:r + 1] for c in cuts])[0]
+            assert rows[r][~np.isnan(rows[r])].tolist() == alone[~np.isnan(alone)].tolist()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_panel_edges_random_chains_match_scalar_merge(self, seed):

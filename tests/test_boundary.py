@@ -7,15 +7,22 @@ import pytest
 
 from macfade import solver
 from macfade.boundary import (
-    _rate_point_detailed,
     compare_modes,
     rate_point,
     simplex_grid,
     sweep,
 )
 from macfade.fading import ExponentialGain, UniformGain
-from macfade.kernel import CdfMode, ChannelConfig, LambdaVector, RateAwardVector, UserSpec
-from macfade.quadrature import QuadratureError
+from macfade.kernel import (
+    CdfMode,
+    ChannelConfig,
+    LambdaVector,
+    RateAwardVector,
+    UserSpec,
+    outer_request,
+    rate_integrand,
+)
+from macfade.quadrature import QuadratureError, integrate_or_raise
 from macfade.solver import SolverSettings, achieved_power, solve_lambda
 
 from oracles import wf_rate, wf_solve_lambda
@@ -69,12 +76,18 @@ class TestRatePoint:
 
     def test_priced_out_user_has_an_empty_window(self):
         # user 0's threshold 2*lam*sigma2/mu = 40 lies past its tail point:
-        # no outer integral is built, and its rate and error are exactly 0
+        # its outer row is [0, 1] with a zero integrand, and its rate and
+        # error are exactly 0
         mu, lam = CH2.weights((0.5, 0.5)), CH2.prices((10.0, 0.1))
         rates = rate_point(mu, lam, CH2)
         assert rates[0] == 0.0 and rates[1] > 0.0
-        detailed, errors = _rate_point_detailed(mu, lam, CH2, CdfMode.CORRECTED, 1e-8, 1e-12)
-        assert detailed == rates
+        req = outer_request(rate_integrand, range(2), mu, lam, CH2, CdfMode.CORRECTED,
+                            1e-8, 1e-12)
+        row = req.edges[0][~np.isnan(req.edges[0])]
+        assert (row[0], row[-1]) == (0.0, 1.0)
+        detailed = integrate_or_raise(req)
+        assert tuple(detailed.values.tolist()) == rates
+        errors = detailed.error_estimates
         assert errors[0] == 0.0 and errors[1] > 0.0
 
     def test_rates_increase_with_power_budget(self):
@@ -191,10 +204,12 @@ class TestSweep:
                 assert p.rates is None
 
     def test_quadrature_failure_status_names_the_newton_step(self, monkeypatch):
-        def failing(*args):
-            raise QuadratureError("outer power integral: quadrature did not converge")
+        def failing(req):
+            if req.prefix(0).startswith("outer power integral"):
+                raise QuadratureError("outer power integral: quadrature did not converge")
+            return integrate_or_raise(req)  # the one-user start's
 
-        monkeypatch.setattr(solver, "achieved_power", failing)
+        monkeypatch.setattr(solver, "integrate_or_raise", failing)
         (point,) = sweep(CH2, [(0.6, 0.4)], FAST)
         assert point.status.startswith("error: outer power integral: quadrature did not converge; "
                                        "in the solver's Newton step 1 from lam=(")

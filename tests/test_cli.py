@@ -205,19 +205,21 @@ class TestExitCodes:
         assert capsys.readouterr().err.count("last residuals") == 1
 
     def test_quadrature_failure_names_its_layer_once(self, tmp_path, capsys, monkeypatch):
-        # The fourth outer power integral, user 1's at the first Newton
-        # step's trial prices, gets one rule's budget and a tolerance it
-        # cannot meet; the one-user start's integrals are not counted.
+        # In the second outer power request, the first Newton step's trial
+        # prices, user 1's row gets one rule's budget and a tolerance it
+        # cannot meet, and user 0's a tolerance its first rule meets; the
+        # one-user start's integrals are not counted.
         calls = []
 
-        def starved_fourth(req):
+        def starved_second(req):
             if req.prefix(0).startswith("outer power integral"):
                 calls.append(req)
-                if len(calls) == 4:
-                    req = dataclasses.replace(req, abs_tol=1e-300, max_evals=_EVALS_PER_RULE)
+                if len(calls) == 2:
+                    req = dataclasses.replace(req, abs_tol=[1.0, 1e-300],
+                                              max_evals=_EVALS_PER_RULE)
             return integrate_or_raise(req)
 
-        monkeypatch.setattr(solver, "integrate_or_raise", starved_fourth)
+        monkeypatch.setattr(solver, "integrate_or_raise", starved_second)
         path = write_config(tmp_path, {"solver": None, "quadrature": None})
         assert main(["solve", "--config", path]) == 2
         err = capsys.readouterr().err
@@ -558,6 +560,40 @@ def test_bad_knots_fail_at_load_in_every_command(tmp_path, capsys, fields, messa
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"config error: channel.users[1].fading.{message}\n"
+
+
+# Inputs so small that a quadrature tolerance underflowed to 0, or panel
+# edges merged, once ended in a traceback.  Each now fails at load naming its
+# config path, or names the layer that gave up: (user 0 fields, quadrature
+# fields, exit code, start of the one stderr line).
+TINY_INPUTS = {
+    "pbar": ({"pbar": 5e-324}, {}, 2,
+             "quadrature error: one-user start of user 0: quadrature did not converge"),
+    "outer_abs_tol": ({}, {"outer_abs_tol": 5e-324}, 1,
+                      "config error: quadrature.outer_abs_tol: must be at least 1e-320"),
+    "mean": ({"fading": {"kind": "exponential", "mean": 5e-324}}, {}, 1,
+             "config error: channel.users[0].fading.mean: mean_gain must be finite and at "
+             "least 2.2250738585072014e-308"),
+    "uniform": ({"fading": {"kind": "uniform", "low": 0.0, "high": 5e-324}}, {}, 1,
+                "config error: channel.users[0].fading: positive knot gains must be at "
+                "least 2.2250738585072014e-308"),
+}
+
+
+@pytest.mark.parametrize("case", TINY_INPUTS)
+def test_tiny_input_fails_without_a_traceback(tmp_path, capsys, case):
+    user, quadrature, code, message = TINY_INPUTS[case]
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["channel"]["users"][0].update(user)
+    doc["quadrature"].update(quadrature)
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(doc))
+    for command in (["solve"], ["verify-mc"], ["compare"]):
+        assert main([*command, "--config", str(config)]) == code, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.err.startswith(message), captured.err
 
 
 TWO_USERS = ChannelConfig(1.0, (UserSpec(ExponentialGain(1.0), 1.0),

@@ -7,7 +7,7 @@ Each entry that takes a CDF mode accepts its members and their values
 "corrected" and "naive" alike and refuses anything else, and each that
 takes a user index refuses one that is not an integer in [0, n_users).
 Each kernel entry refuses an interference level that is negative or NaN,
-and gives 0 at +inf, where no gain wins.
+gives 0 at +inf, where no gain wins, and takes a list of levels as an array.
 The package exports exactly its public names, and each one resolves.
 """
 
@@ -121,6 +121,14 @@ LEVEL_ENTRIES = {
 def test_negative_or_nan_level_raises_value_error(entry, z):
     with pytest.raises(ValueError, match=r"^interference level z must be nonnegative, not "):
         LEVEL_ENTRIES[entry](z)
+
+
+@pytest.mark.parametrize("entry", LEVEL_ENTRIES)
+def test_list_of_levels_gives_each_level_its_own(entry):
+    values = LEVEL_ENTRIES[entry]([0.5, math.inf])
+    assert isinstance(values, np.ndarray)
+    assert values.tolist() == [LEVEL_ENTRIES[entry](0.5), 0.0]
+    assert values[0] > 0.0
 
 
 @pytest.mark.parametrize("entry", LEVEL_ENTRIES)

@@ -253,6 +253,7 @@ class TestTypeValidation:
                                              (rate_integrand, "rate")])
 def test_outer_request_names_its_row(inner, quantity):
     lam = LambdaVector((0.2, 0.3))
-    req = outer_request(inner, 1, RateAwardVector((0.6, 0.4)), lam, CH2,
+    req = outer_request(inner, [1, 0], RateAwardVector((0.6, 0.4)), lam, CH2,
                         CdfMode.CORRECTED, 1e-8, 1e-12)
     assert req.prefix(0) == f"outer {quantity} integral of user 1 over z at lam={lam.lam!r}: "
+    assert req.prefix(1) == f"outer {quantity} integral of user 0 over z at lam={lam.lam!r}: "

@@ -117,7 +117,8 @@ def _z_top(i, channel):
 
 def _outer_edges(i, mu, lam, channel):
     """Interior edges of user i's outer power integral, tail at 1e-12 as in ``_z_top``."""
-    row = outer_request(power_integrand, i, mu, lam, channel, CdfMode.CORRECTED, 1e-8, 1e-12).edges[0]
+    row = outer_request(power_integrand, [i], mu, lam, channel, CdfMode.CORRECTED, 1e-8,
+                        1e-12).edges[0]
     return tuple(row[~np.isnan(row)][1:-1].tolist())
 
 

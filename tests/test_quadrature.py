@@ -116,6 +116,8 @@ def test_non_finite_integrand_raises():
         {"lower": 0.0, "truncation_point": 1.0, "breakpoints": (0.8, 0.2)},
         {"lower": 0.0, "truncation_point": 1.0, "max_evals": 3},
         {"lower": math.nan, "truncation_point": 1.0},
+        {"lower": 0.0, "truncation_point": 1.0, "abs_tol": [0.0]},  # one per row
+        {"lower": 0.0, "truncation_point": 1.0, "abs_tol": [1e-9, 1e-9]},  # two for one row
     ],
 )
 def test_request_validation(kwargs):

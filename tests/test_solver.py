@@ -7,7 +7,14 @@ import pytest
 
 from macfade import solver
 from macfade.fading import ExponentialGain, PiecewiseLinearEmpirical, UniformGain
-from macfade.kernel import CdfMode, ChannelConfig, LambdaVector, RateAwardVector, UserSpec
+from macfade.kernel import (
+    CdfMode,
+    ChannelConfig,
+    LambdaVector,
+    RateAwardVector,
+    UserSpec,
+    outer_request,
+)
 from macfade.quadrature import _EVALS_PER_RULE, QuadratureError, integrate_or_raise
 from macfade.solver import (
     SolverError,
@@ -221,9 +228,27 @@ class TestSolveLambda:
         for res in result.certified_residuals:
             assert abs(res) <= 1e-6
 
-    # the first power integral, the first trial of the step on the one-user
-    # slopes (taken when a negated carried Jacobian gives an uphill step), and
-    # the first of the certificate pass
+    @pytest.mark.parametrize("start", [None, (0.1, 0.1, 0.1)], ids=["cold", "warm"])
+    def test_every_residual_is_one_outer_request(self, monkeypatch, start):
+        # a row per user; the certificate pass adds one request
+        requests = []
+
+        def counting(req):
+            if req.prefix(0).startswith("outer power integral"):
+                requests.append([req.prefix(r) for r in range(len(req.edges))])
+            return integrate_or_raise(req)
+
+        monkeypatch.setattr(solver, "integrate_or_raise", counting)
+        channel = expo_channel(3, means=[0.5, 1.0, 2.0])
+        result = solve_lambda(RateAwardVector((0.5, 0.3, 0.2)), channel, initial_lambda=start)
+        assert len(requests) == result.power_evals // 3 + 1
+        for names in requests:
+            assert [name.split(" over z")[0] for name in names] == [
+                f"outer power integral of user {i}" for i in range(3)]
+
+    # the first outer power request, the first trial of the step on the
+    # one-user slopes (taken when a negated carried Jacobian gives an uphill
+    # step), and the certificate pass's request
     @pytest.mark.parametrize("where", ["start", "reseed", "certificate"])
     def test_quadrature_failure_names_the_solver_stage(self, monkeypatch, where):
         mu = RateAwardVector((0.7, 0.3))
@@ -233,23 +258,27 @@ class TestSolveLambda:
             neighbour = solve_lambda(RateAwardVector((0.6, 0.4)), CH2)
             kwargs = {"initial_lambda": neighbour.lam,
                       "initial_jacobian": -np.array(neighbour.jacobian)}
-        fail_at = {"start": 1, "reseed": 3, "certificate": solved.power_evals + 1}[where]
-        calls = []
+        fail_at = {"start": 1, "reseed": 2, "certificate": solved.power_evals // 2 + 1}[where]
+        calls = []  # the prices of each outer power request
 
-        def failing(*args):
-            calls.append(args)
-            if len(calls) == fail_at:
+        def recording(inner, users, mu, lam, *args):
+            calls.append(lam)
+            return outer_request(inner, users, mu, lam, *args)
+
+        def failing(req):
+            if req.prefix(0).startswith("outer power integral") and len(calls) == fail_at:
                 raise QuadratureError("outer power integral: quadrature did not converge",
                                       result="best")
-            return achieved_power(*args)
+            return integrate_or_raise(req)
 
-        monkeypatch.setattr(solver, "achieved_power", failing)
+        monkeypatch.setattr(solver, "outer_request", recording)
+        monkeypatch.setattr(solver, "integrate_or_raise", failing)
         with pytest.raises(QuadratureError) as err:
             solve_lambda(mu, CH2, **kwargs)
         if where == "reseed":
-            # the reseed costs no integral: the third is already a line-search
-            # trial, which moves both prices
-            start, trial = calls[0][2].as_array(), calls[-1][2].as_array()
+            # the reseed costs no integral: the second request is already a
+            # line-search trial, which moves both prices
+            start, trial = np.asarray(calls[0]), np.asarray(calls[-1])
             assert (trial != start).all()
         stage = (f"certificate pass after {solved.sweeps} Newton steps"
                  if where == "certificate" else "Newton step 1")

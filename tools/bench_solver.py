@@ -25,7 +25,10 @@ steps and power integrals (summed over the solves' ``SolverResult``), the
 solves that raised ``SolverError`` or ``QuadratureError`` (``failures``,
 which count nothing else), the one-user start's batched integrals and their
 one-row integrals (requests whose rows are named "one-user start", 0 where
-the tree has none), and the median wall time of K runs; ``corpus`` also
+the tree has none), the outer power requests (``outer_requests``: requests
+whose rows are named "outer power integral", one per residual where a
+request has a row per user, one per user and residual where it has one
+row), and the median wall time of K runs; ``corpus`` also
 splits its solves, steps, power integrals and failures by start (``cold``,
 ``1e-4``, ``1e2``).  Counts repeat exactly from run to run.
 
@@ -67,7 +70,7 @@ def run_scenarios(names) -> dict:
     from macfade.quadrature import QuadratureError
 
     results: list = []
-    start = {"batches": 0, "rows": 0}
+    start = {"batches": 0, "rows": 0, "outer": 0}
     solve, integrate = solver.solve_lambda, solver.integrate_or_raise
 
     def counted_solve(*args, **kwargs):
@@ -79,6 +82,8 @@ def run_scenarios(names) -> dict:
         if req.prefix(0).startswith("one-user start"):
             start["batches"] += 1
             start["rows"] += len(req.edges)
+        elif req.prefix(0).startswith("outer power integral"):
+            start["outer"] += 1
         return integrate(req)
 
     boundary.solve_lambda = solver.solve_lambda = counted_solve
@@ -135,7 +140,7 @@ def run_scenarios(names) -> dict:
     rows = {}
     for name in names:
         results.clear()
-        start.update(batches=0, rows=0)
+        start.update(batches=0, rows=0, outer=0)
         jobs = calls[name] if isinstance(calls[name], list) else [(None, calls[name])]
         solved, failed = {}, {}  # per start: results, failures
         began = time.perf_counter()
@@ -149,7 +154,7 @@ def run_scenarios(names) -> dict:
         wall = time.perf_counter() - began
         rows[name] = {**totals(results, sum(failed.values())),
                       "start_batches": start["batches"], "start_integrals": start["rows"],
-                      "wall_s": wall}
+                      "outer_requests": start["outer"], "wall_s": wall}
         if name == "corpus":
             rows[name]["by_start"] = {kind: totals(solved[kind], failed.get(kind, 0))
                                       for kind in solved}
