@@ -337,7 +337,7 @@ def outer_request(inner, users, mu, lam, channel: ChannelConfig, mode: CdfMode,
         if math.isinf(top):
             raise ValueError(f"integration window must be finite; user {i}'s price "
                              f"{lam[i]!r} puts its end at inf")
-    inner_tol = (np.broadcast_to(tol, len(users)) / 10.0).tolist()
+    inner_tol = (np.full(len(users), tol, dtype=float) / 10.0).tolist()
 
     def integrand(z, rows):
         return np.stack([inner(users[r], zr, mu, lam, channel, mode, inner_tol[r], tail_eps)

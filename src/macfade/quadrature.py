@@ -117,13 +117,13 @@ class BatchRequest:
             raise ValueError("integration window must be finite; truncate the tail first")
         if (np.diff(edges, axis=1) <= 0.0).any():  # NaN padding compares False
             raise ValueError("edges must be strictly increasing")
-        abs_tol = np.array(self.abs_tol, dtype=float)
+        abs_tol = np.full(len(edges), self.abs_tol, dtype=float)  # or ValueError
         if not (abs_tol > 0.0).all():
             raise ValueError("abs_tol must be positive")
         if self.max_evals < _EVALS_PER_RULE:
             raise ValueError("max_evals must allow at least one rule application")
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "abs_tol", np.broadcast_to(abs_tol, len(edges)))  # or ValueError
+        object.__setattr__(self, "abs_tol", abs_tol)
         object.__setattr__(self, "max_evals", int(self.max_evals))
 
     def prefix(self, row: int) -> str:
@@ -365,7 +365,7 @@ def panel_edges(lower: np.ndarray, upper, cuts) -> np.ndarray:
     it, kept or not.  Dropped slots become right-hand NaN padding.
     """
     lower = np.asarray(lower, dtype=float)
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), lower.shape)
+    upper = np.full(lower.shape, upper, dtype=float)
     cand = np.sort(np.stack([*dyadic_panel_edges(lower, upper), *cuts], axis=1), axis=1)
     gap = 1e-12 * (upper - lower)[:, None]
     keep = (lower[:, None] < cand) & (cand < upper[:, None]) & ~(upper[:, None] - cand <= gap)
