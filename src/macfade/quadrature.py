@@ -117,7 +117,7 @@ class BatchRequest:
             raise ValueError("integration window must be finite; truncate the tail first")
         if (np.diff(edges, axis=1) <= 0.0).any():  # NaN padding compares False
             raise ValueError("edges must be strictly increasing")
-        abs_tol = np.full(len(edges), self.abs_tol, dtype=float)  # or ValueError
+        abs_tol = np.full(len(edges), self.abs_tol, dtype=float)  # a wrong count raises ValueError
         if not (abs_tol > 0.0).all():
             raise ValueError("abs_tol must be positive")
         if self.max_evals < _EVALS_PER_RULE:
